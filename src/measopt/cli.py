@@ -24,7 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .control import ControlProblem, OptimizeConfig
+from .control import ControlProblem, CostUnavailableError, OptimizeConfig
 from .control import optimize as optimize_problem
 from .experiments import list_experiments, run_experiment
 from .grid import build_grid, load_field, named_field, save_field
@@ -78,7 +78,7 @@ def run_cli(argv=None) -> int:
         if args.command == "optimize":
             return _cmd_optimize(args)
         return _cmd_experiment(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, CostUnavailableError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
@@ -170,8 +170,8 @@ def _cmd_optimize(args) -> int:
     prob = ControlProblem(grid, g, u_d, _parse_p(doc.get("p", 2.0)),
                           float(doc["alpha"]))
     opt = doc.get("optimizer", {})
-    allowed = {"max_iter", "step0", "backtrack", "eps_smooth", "seed",
-               "f_rtol", "max_backtracks", "solver_tol", "step_grow"}
+    allowed = {"max_iter", "step0", "backtrack", "eps_smooth", "f_rtol",
+               "max_backtracks", "solver_tol", "step_grow"}
     bad = set(opt) - allowed
     if bad:
         raise ValueError(f"unknown optimizer option(s): {', '.join(sorted(bad))}")

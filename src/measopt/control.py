@@ -73,12 +73,16 @@ class OptimizeConfig:
     step0: float = 1.0
     backtrack: float = 0.5
     eps_smooth: float | None = None
-    seed: int = 0
     f_rtol: float = 1e-9
     max_backtracks: int = 40
     solver_tol: float = DEFAULT_TOL
     step_grow: float = 2.0
     initial_control: ScalarField | None = None
+
+    def __post_init__(self):
+        if not self.solver_tol > 0.0:
+            raise ValueError(
+                f"invalid config: solver_tol must be positive, got {self.solver_tol!r}")
 
 
 def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure,
@@ -124,7 +128,7 @@ def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray,
                         eps: float, tol: float) -> np.ndarray:
     rhs = _misfit_gradient_density(prob, u_values, eps)
     dg = np.maximum(np.asarray(prob.g.derivative(u_values)), 0.0)
-    phi, _, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=max(tol * 1e-2, 1e-14))
+    phi, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=max(tol * 1e-2, 1e-14))
     return phi
 
 
@@ -203,9 +207,7 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     for it in range(1, cfg.max_iter + 1):
         accepted = False
         for _ in range(cfg.max_backtracks):
-            shifted = c - tau * phi
-            cut = tau * prob.alpha
-            c_try = np.sign(shifted) * np.maximum(np.abs(shifted) - cut, 0.0)
+            c_try = prox_l1(ScalarField(grid, c - tau * phi), tau * prob.alpha * hd).values
             try:
                 u_try = state_for(c_try)
             except ConvergenceError:

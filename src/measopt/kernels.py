@@ -1,43 +1,32 @@
-"""Hot numeric kernels: stencil application and shifted-stencil CG solves.
+"""Hot numeric kernels: stencil application and the shifted solve.
 
-Two interchangeable backends are provided for each kernel: a numba
-``@njit`` implementation and a pure-numpy one.  The active backend is
-chosen at import time.  Setting the environment variable
-``MEASOPT_NO_NUMBA=1`` (or numba failing to import) selects the numpy
-path; both backends implement identical arithmetic on flat float64
-arrays in lexicographic node order.
+All kernels act on flat float64 arrays of interior values of the unit
+box in lexicographic node order, with an implicit zero Dirichlet
+boundary: stencil reads outside the index range contribute 0.
 
-All kernels act on interior values of the unit box with an implicit
-zero Dirichlet boundary: stencil reads outside the index range
-contribute 0.
+The shifted solve (-Lap_h + diag(d)) x = b runs conjugate gradients
+preconditioned by the exact solve with the constant shift c = mean(d).
+On this box the orthonormal type-I sine transform diagonalizes -Lap_h
+(the fast Poisson solver of Buzbee, Golub and Nielson, 1970), so one
+preconditioner application costs two transforms, and CG stops after
+one iteration whenever d is constant.  The transform is built from
+``numpy.fft``, which numpy loads anyway: importing ``scipy.fft`` pulls
+in ``scipy.special`` and added about 80 ms and 3 MB to start-up
+(scipy 1.17 on a 2-core host).
 """
 from __future__ import annotations
 
-import os
+import functools
+import math
 
 import numpy as np
 
-_ENV_FLAG = "MEASOPT_NO_NUMBA"
+HAVE_NUMBA = False  # no numba backend; perfbench records this flag
 
 
-def _numpy_forced() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
+def backend_name() -> str:
+    return "numpy"
 
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not _numpy_forced()
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
 
 def neg_laplacian_numpy(u, dim: int, n: int, inv_h2: float):
     """Apply the (2*dim+1)-point negative Laplacian stencil.
@@ -66,18 +55,49 @@ def neg_laplacian_numpy(u, dim: int, n: int, inv_h2: float):
     return (out * inv_h2).reshape(-1)
 
 
-def _apply_shifted_numpy(u, diag, dim, n, inv_h2):
+neg_laplacian = neg_laplacian_numpy
+
+
+def _apply_shifted(u, diag, dim, n, inv_h2):
     return neg_laplacian_numpy(u, dim, n, inv_h2) + diag * u
 
 
-def cg_shifted_numpy(b, diag, dim: int, n: int, h: float, x0,
-                     atol_l1: float, rtol: float, maxiter: int):
-    """Conjugate gradients for (-Lap_h + diag(d)) x = b.
+@functools.lru_cache(maxsize=32)
+def _eigenvalues(dim: int, n: int, h: float) -> np.ndarray:
+    """Eigenvalues of -Lap_h on the sine modes, shaped (n,) * dim."""
+    lam1 = (2.0 / h) ** 2 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2
+    lam = np.zeros((n,) * dim)
+    for ax in range(dim):
+        lam = lam + lam1.reshape((n,) + (1,) * (dim - 1 - ax))
+    return lam
 
-    Stops when the quadrature-weighted L1 residual drops to ``atol_l1``
-    or the 2-norm residual falls below ``rtol * ||b||``.  The true
-    residual is recomputed before accepting convergence so recurrence
-    drift cannot fake it.
+
+def _sine_transform(a):
+    """Orthonormal type-I sine transform over every axis (all of length n).
+
+    Each pass takes the last axis through a real FFT of the zero-padded
+    sequence (0, a_1, ..., a_n, 0, ..., 0) of length 2(n+1), whose
+    imaginary part is -sum_j a_j sin(pi j k / (n+1)), and moves the
+    result to the front, so after ndim passes the axes are back in order.
+    """
+    n = a.shape[0]
+    scale = -math.sqrt(2.0 / (n + 1))
+    for _ in range(a.ndim):
+        padded = np.zeros(a.shape[:-1] + (2 * n + 2,))
+        padded[..., 1:n + 1] = a
+        a = np.moveaxis(np.fft.rfft(padded)[..., 1:n + 1].imag * scale, -1, 0)
+    return a
+
+
+def cg_shifted(b, diag, dim: int, n: int, h: float, x0,
+               atol_l1: float, rtol: float, maxiter: int):
+    """Preconditioned conjugate gradients for (-Lap_h + diag(d)) x = b.
+
+    The preconditioner is (-Lap_h + mean(d) I)^-1, applied exactly by
+    the sine transform.  Stops when the quadrature-weighted L1 residual
+    drops to ``atol_l1`` or the 2-norm residual falls below
+    ``rtol * ||b||``.  The true residual is recomputed before accepting
+    convergence so recurrence drift cannot fake it.
 
     Returns
     -------
@@ -85,199 +105,46 @@ def cg_shifted_numpy(b, diag, dim: int, n: int, h: float, x0,
     """
     inv_h2 = 1.0 / (h * h)
     hd = h ** dim
+    shape = (n,) * dim
+    inv_eig = 1.0 / (_eigenvalues(dim, n, h) + float(diag.mean()))
+
+    def precondition(r):
+        r_hat = _sine_transform(r.reshape(shape))
+        return _sine_transform(r_hat * inv_eig).reshape(-1)
+
     x = np.zeros(b.size) if x0 is None else x0.astype(np.float64, copy=True)
-    r = b - _apply_shifted_numpy(x, diag, dim, n, inv_h2)
+    r = b - _apply_shifted(x, diag, dim, n, inv_h2)
     bnorm = float(np.sqrt(b @ b))
     floor2 = rtol * bnorm
     res_l1 = hd * float(np.abs(r).sum())
     if res_l1 <= atol_l1 or bnorm == 0.0:
         return x, 0, res_l1, True
-    p = r.copy()
-    rs = float(r @ r)
+    p = z = precondition(r)
+    rz = float(r @ z)
     it = 0
     while it < maxiter:
-        Ap = _apply_shifted_numpy(p, diag, dim, n, inv_h2)
+        Ap = _apply_shifted(p, diag, dim, n, inv_h2)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break  # loss of positive definiteness: bail to true-residual check
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         it += 1
-        rs_new = float(r @ r)
         res_l1 = hd * float(np.abs(r).sum())
-        if res_l1 <= atol_l1 or np.sqrt(rs_new) <= floor2:
-            r_true = b - _apply_shifted_numpy(x, diag, dim, n, inv_h2)
+        if res_l1 <= atol_l1 or np.sqrt(float(r @ r)) <= floor2:
+            r_true = b - _apply_shifted(x, diag, dim, n, inv_h2)
             res_l1 = hd * float(np.abs(r_true).sum())
             if res_l1 <= atol_l1 or np.sqrt(float(r_true @ r_true)) <= floor2:
                 return x, it, res_l1, True
             r = r_true
-            rs_new = float(r @ r)
-            p = r.copy()
-            rs = rs_new
+            p = z = precondition(r)
+            rz = float(r @ z)
             continue
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    r_true = b - _apply_shifted_numpy(x, diag, dim, n, inv_h2)
+        z = precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    r_true = b - _apply_shifted(x, diag, dim, n, inv_h2)
     res_l1 = hd * float(np.abs(r_true).sum())
     return x, it, res_l1, res_l1 <= atol_l1
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _njit = numba.njit(cache=True, nogil=True)
-
-    @_njit
-    def _apply_shifted_jit(u, diag, out, dim, n, inv_h2):
-        if dim == 1:
-            for i in range(n):
-                s = 2.0 * u[i]
-                if i > 0:
-                    s -= u[i - 1]
-                if i < n - 1:
-                    s -= u[i + 1]
-                out[i] = s * inv_h2 + diag[i] * u[i]
-        elif dim == 2:
-            for i in range(n):
-                base = i * n
-                for j in range(n):
-                    f = base + j
-                    s = 4.0 * u[f]
-                    if i > 0:
-                        s -= u[f - n]
-                    if i < n - 1:
-                        s -= u[f + n]
-                    if j > 0:
-                        s -= u[f - 1]
-                    if j < n - 1:
-                        s -= u[f + 1]
-                    out[f] = s * inv_h2 + diag[f] * u[f]
-        else:
-            n2 = n * n
-            for i in range(n):
-                for j in range(n):
-                    base = i * n2 + j * n
-                    for k in range(n):
-                        f = base + k
-                        s = 6.0 * u[f]
-                        if i > 0:
-                            s -= u[f - n2]
-                        if i < n - 1:
-                            s -= u[f + n2]
-                        if j > 0:
-                            s -= u[f - n]
-                        if j < n - 1:
-                            s -= u[f + n]
-                        if k > 0:
-                            s -= u[f - 1]
-                        if k < n - 1:
-                            s -= u[f + 1]
-                        out[f] = s * inv_h2 + diag[f] * u[f]
-
-    @_njit
-    def _neg_laplacian_jit(u, dim, n, inv_h2):
-        out = np.empty_like(u)
-        zero = np.zeros_like(u)
-        _apply_shifted_jit(u, zero, out, dim, n, inv_h2)
-        return out
-
-    @_njit
-    def _cg_shifted_jit(b, diag, dim, n, h, x0, atol_l1, rtol, maxiter):
-        inv_h2 = 1.0 / (h * h)
-        hd = h ** dim
-        N = b.size
-        x = x0.copy()
-        Ax = np.empty(N)
-        _apply_shifted_jit(x, diag, Ax, dim, n, inv_h2)
-        r = np.empty(N)
-        bnorm2 = 0.0
-        res_l1 = 0.0
-        for f in range(N):
-            r[f] = b[f] - Ax[f]
-            bnorm2 += b[f] * b[f]
-            res_l1 += abs(r[f])
-        res_l1 *= hd
-        floor2 = rtol * np.sqrt(bnorm2)
-        if res_l1 <= atol_l1 or bnorm2 == 0.0:
-            return x, 0, res_l1, True
-        p = r.copy()
-        Ap = np.empty(N)
-        rs = 0.0
-        for f in range(N):
-            rs += r[f] * r[f]
-        it = 0
-        while it < maxiter:
-            _apply_shifted_jit(p, diag, Ap, dim, n, inv_h2)
-            pAp = 0.0
-            for f in range(N):
-                pAp += p[f] * Ap[f]
-            if pAp <= 0.0:
-                break
-            alpha = rs / pAp
-            rs_new = 0.0
-            res_l1 = 0.0
-            for f in range(N):
-                x[f] += alpha * p[f]
-                r[f] -= alpha * Ap[f]
-                rs_new += r[f] * r[f]
-                res_l1 += abs(r[f])
-            res_l1 *= hd
-            it += 1
-            if res_l1 <= atol_l1 or np.sqrt(rs_new) <= floor2:
-                # recompute the true residual before accepting
-                _apply_shifted_jit(x, diag, Ax, dim, n, inv_h2)
-                rs_new = 0.0
-                res_l1 = 0.0
-                for f in range(N):
-                    r[f] = b[f] - Ax[f]
-                    rs_new += r[f] * r[f]
-                    res_l1 += abs(r[f])
-                res_l1 *= hd
-                if res_l1 <= atol_l1 or np.sqrt(rs_new) <= floor2:
-                    return x, it, res_l1, True
-                for f in range(N):
-                    p[f] = r[f]
-                rs = rs_new
-                continue
-            beta = rs_new / rs
-            for f in range(N):
-                p[f] = r[f] + beta * p[f]
-            rs = rs_new
-        _apply_shifted_jit(x, diag, Ax, dim, n, inv_h2)
-        res_l1 = 0.0
-        for f in range(N):
-            res_l1 += abs(b[f] - Ax[f])
-        res_l1 *= hd
-        return x, it, res_l1, res_l1 <= atol_l1
-
-    def neg_laplacian_numba(u, dim, n, inv_h2):
-        return _neg_laplacian_jit(np.ascontiguousarray(u, dtype=np.float64),
-                                  dim, n, inv_h2)
-
-    def cg_shifted_numba(b, diag, dim, n, h, x0, atol_l1, rtol, maxiter):
-        start = np.zeros(b.size) if x0 is None else \
-            np.ascontiguousarray(x0, dtype=np.float64)
-        x, it, res, conv = _cg_shifted_jit(
-            np.ascontiguousarray(b, dtype=np.float64),
-            np.ascontiguousarray(diag, dtype=np.float64),
-            dim, n, h, start,
-            atol_l1, rtol, maxiter)
-        return x, int(it), float(res), bool(conv)
-else:  # pragma: no cover
-    neg_laplacian_numba = None
-    cg_shifted_numba = None
-
-
-if USING_NUMBA:
-    neg_laplacian = neg_laplacian_numba
-    cg_shifted = cg_shifted_numba
-else:
-    neg_laplacian = neg_laplacian_numpy
-    cg_shifted = cg_shifted_numpy
-
-
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"

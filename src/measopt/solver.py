@@ -1,9 +1,11 @@
 """Dirichlet solvers for -Lap u + g(u) = mu with measure data.
 
-The linear problem is solved by a sparse direct factorization on small
-grids (n^dim <= 10_000) and by conjugate gradients on the SPD stencil
-matrix otherwise.  The semilinear problem uses damped Newton steps with
-an Armijo backtracking line search on the discrete energy
+Every linear system (-Lap_h + diag(d)) x = b, d >= 0, takes one path:
+conjugate gradients preconditioned by the sine-transform solve with a
+constant shift (``kernels.cg_shifted``).  A sparse-direct solve is kept
+only as the reference that tests compare against.  The semilinear
+problem uses damped Newton steps with an Armijo backtracking line
+search on the discrete energy
 
     E(u) = 0.5 <u, -Lap_h u>_h + sum G(u_i) h^dim - <rhs, u>_h,
 
@@ -14,7 +16,6 @@ norm, matching the measure-space reading of the right-hand side.
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .measures import DiscreteMeasure, negate, rasterize, tv_norm
 from .nonlinearity import Nonlinearity
 
 DEFAULT_TOL = 1e-10
-DIRECT_LIMIT = 10_000       # n^dim at or below this uses a sparse LU
 CG_RTOL = 1e-12
 NEWTON_MAX = 100
 ADMISSIBILITY_TOL = 1e-8    # slack for sub/supersolution sign checks
@@ -55,34 +55,11 @@ class ConvergenceError(RuntimeError):
         self.trace = trace
 
 
-@functools.lru_cache(maxsize=32)
-def _stencil_csc(dim: int, n: int):
-    h2 = (n + 1.0) ** 2
-    e = np.ones(n)
-    a1 = sp.diags([-e[:-1], 2.0 * e, -e[:-1]], [-1, 0, 1], format="csr")
-    eye = sp.identity(n, format="csr")
-    if dim == 1:
-        a = a1
-    elif dim == 2:
-        a = sp.kron(a1, eye) + sp.kron(eye, a1)
-    else:
-        a = (sp.kron(sp.kron(a1, eye), eye) + sp.kron(sp.kron(eye, a1), eye)
-             + sp.kron(sp.kron(eye, eye), a1))
-    return (h2 * a).tocsc()
-
-
 def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, x0=None):
-    """Solve (-Lap_h + diag) x = rhs; returns (x, inner_iterations, method)."""
+    """Solve (-Lap_h + diag) x = rhs; returns (x, inner_iterations)."""
     diag_arr = np.asarray(diag, dtype=np.float64)
     if diag_arr.ndim == 0:
         diag_arr = np.full(grid.total_interior, float(diag_arr))
-    if grid.total_interior <= DIRECT_LIMIT:
-        a = _stencil_csc(grid.dim, grid.n)
-        if np.any(diag_arr):
-            a = (a + sp.diags(diag_arr)).tocsc()
-        return spla.splu(a).solve(rhs), 1, "direct"
-    if x0 is None:
-        x0 = np.zeros(grid.total_interior)
     x, iters, res_l1, converged = kernels.cg_shifted(
         rhs, diag_arr, grid.dim, grid.n, grid.h, x0,
         atol_l1, CG_RTOL, maxiter=40 * grid.n + 200)
@@ -90,7 +67,18 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, x0=None):
         raise ConvergenceError(
             f"no convergence: cg stalled at weighted-L1 residual {res_l1:.3e}",
             report=SolveReport(iters, res_l1, False, 0.0, method="cg"))
-    return x, iters, "cg"
+    return x, iters
+
+
+def _solve_direct(grid: Grid, diag, rhs):
+    """Sparse-direct solve of (-Lap_h + diag) x = rhs, the reference for tests."""
+    e = np.ones(grid.n)
+    a1 = sp.diags([-e[:-1], 2.0 * e, -e[:-1]], [-1, 0, 1]) / grid.h ** 2
+    a = a1
+    for _ in range(grid.dim - 1):  # Kronecker sum, last index fastest
+        a = sp.kron(a, sp.identity(grid.n)) + sp.kron(sp.identity(a.shape[0]), a1)
+    a = a + sp.diags(np.broadcast_to(np.asarray(diag, dtype=np.float64), (a.shape[0],)))
+    return spla.splu(sp.csc_matrix(a)).solve(rhs)
 
 
 def _neg_lap(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -107,10 +95,10 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     """
     t0 = time.perf_counter()
     rhs = rasterize(m, grid).values
-    x, inner, method = _solve_shifted(grid, 0.0, rhs, atol_l1=tol)
+    x, inner = _solve_shifted(grid, 0.0, rhs, atol_l1=tol)
     res = _lp(_neg_lap(grid, x) - rhs, 1.0, grid)
     report = SolveReport(1, res, res <= tol, time.perf_counter() - t0,
-                         method=method, inner_iterations=inner)
+                         method="cg", inner_iterations=inner)
     if not report.converged:
         raise ConvergenceError(f"no convergence: linear residual {res:.3e} > {tol:.1e}",
                                report=report, field=ScalarField(grid, x))
@@ -140,12 +128,12 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     rhs = rasterize(m, grid).values
     inner_total = 0
 
-    u0, inner, method = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
+    u0, inner = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
     inner_total += inner
     if np.any(rhs < 0.0):
         abs_measure = _abs_measure(m)
-        cap_vals, inner, _ = _solve_shifted(grid, 0.0, rasterize(abs_measure, grid).values,
-                                            atol_l1=min(tol, 1e-10))
+        cap_vals, inner = _solve_shifted(grid, 0.0, rasterize(abs_measure, grid).values,
+                                         atol_l1=min(tol, 1e-10))
         inner_total += inner
         cap = float(np.abs(cap_vals).max()) if cap_vals.size else 0.0
     else:
@@ -168,8 +156,8 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             raise ValueError("invalid nonlinearity: negative derivative detected during solve")
         dg = np.maximum(dg, 0.0)
         try:
-            delta, inner, method = _solve_shifted(grid, dg, -res_vec,
-                                                  atol_l1=max(tol * 1e-2, 1e-14))
+            delta, inner = _solve_shifted(grid, dg, -res_vec,
+                                          atol_l1=max(tol * 1e-2, 1e-14))
         except ConvergenceError as exc:
             exc.field = ScalarField(grid, u)
             raise
@@ -214,7 +202,7 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     res_vec = _neg_lap(grid, u) + np.asarray(g(u)) - rhs
     residual = float(np.abs(res_vec).sum()) * hd
     report = SolveReport(newton_its, residual, residual <= tol,
-                         time.perf_counter() - t0, method=f"newton+{method}",
+                         time.perf_counter() - t0, method="newton+cg",
                          inner_iterations=inner_total)
     out = ScalarField(grid, u)
     if not report.converged:
@@ -258,8 +246,8 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     inner_total = 0
     for it in range(1, max_iter + 1):
         target = rhs + lam * u - np.asarray(g(u))
-        nxt, inner, method = _solve_shifted(grid, lam, target,
-                                            atol_l1=max(tol * 1e-2, 1e-14), x0=u)
+        nxt, inner = _solve_shifted(grid, lam, target,
+                                    atol_l1=max(tol * 1e-2, 1e-14), x0=u)
         inner_total += inner
         if np.any(nxt > u + 1e-10):
             raise ConvergenceError("monotone iteration failed to decrease",
@@ -272,7 +260,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         residual = _lp(res, 1.0, grid)
         if residual <= tol:
             report = SolveReport(it, residual, True, time.perf_counter() - t0,
-                                 method=f"monotone+{method}", inner_iterations=inner_total)
+                                 method="monotone+cg", inner_iterations=inner_total)
             return ScalarField(grid, u), report
     report = SolveReport(max_iter, residual, False, time.perf_counter() - t0,
                          method="monotone", inner_iterations=inner_total)

@@ -5,9 +5,10 @@ import subprocess
 import numpy as np
 import pytest
 
-from measopt import (DiscreteMeasure, Nonlinearity, build_grid,
-                     constant_field, load_field, named_field, save_field,
-                     solve_semilinear)
+import measopt.control
+from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
+                     build_grid, constant_field, load_field, named_field,
+                     save_field, solve_semilinear)
 from measopt.cli import run_cli
 
 PROBLEM = {
@@ -134,6 +135,26 @@ def test_optimize_rejects_unknown_option(tmp_path, capsys):
     path = _write_problem(tmp_path, doc)
     assert run_cli(["optimize", str(path)]) == 2
     assert "momentum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_optimize_rejects_nonpositive_solver_tol(tmp_path, capsys, tol):
+    doc = dict(PROBLEM)
+    doc["optimizer"] = {"solver_tol": tol}
+    path = _write_problem(tmp_path, doc)
+    assert run_cli(["optimize", str(path), "--out", str(tmp_path / "opt")]) == 2
+    assert "solver_tol" in capsys.readouterr().err
+
+
+def test_optimize_unavailable_cost_exits_one(tmp_path, capsys, monkeypatch):
+    # a failing first state solve leaves F(0) without a value
+    def failing_solve(*args, **kwargs):
+        raise ConvergenceError("no convergence: stub")
+
+    monkeypatch.setattr(measopt.control, "solve_semilinear", failing_solve)
+    path = _write_problem(tmp_path, PROBLEM)
+    assert run_cli(["optimize", str(path), "--out", str(tmp_path / "opt")]) == 1
+    assert "cost unavailable" in capsys.readouterr().err
 
 
 def test_experiment_pass_exit_zero(tmp_path, capsys):

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      ScalarField, build_grid, constant_field,
@@ -13,6 +13,7 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      solve_semilinear, truncate_max, truncate_min,
                      tv_norm, weak_star_pairing, zeros_field)
 from measopt.grid import neg_laplacian_apply
+from measopt.solver import _solve_direct, _solve_shifted
 
 
 def _const_measure(grid, value):
@@ -42,7 +43,7 @@ def test_solve_linear_quadratic_exact():
     u, report = solve_linear(g, _const_measure(g, 1.0))
     np.testing.assert_allclose(u.values, [0.09375, 0.125, 0.09375], atol=1e-13)
     assert report.converged
-    assert report.method == "direct"
+    assert report.method == "cg"
 
 
 def test_solve_linear_zero_measure():
@@ -64,7 +65,7 @@ def test_solve_linear_second_order_convergence():
 
 
 def test_solve_linear_cg_path_matches_sparse_direct():
-    # 105^2 = 11025 interior nodes exceeds the direct-solver cutoff
+    # a large 2-D grid: 105^2 = 11025 interior nodes
     g = build_grid(2, 105)
     rng = np.random.default_rng(43)
     dens = ScalarField(g, rng.standard_normal(g.total_interior))
@@ -72,14 +73,44 @@ def test_solve_linear_cg_path_matches_sparse_direct():
     assert report.method == "cg"
     assert report.final_residual <= 1e-10
 
-    h2 = (g.n + 1.0) ** 2
-    e = np.ones(g.n)
-    a1 = sp.diags([-e[:-1], 2.0 * e, -e[:-1]], [-1, 0, 1])
-    eye = sp.identity(g.n)
-    a = h2 * (sp.kron(a1, eye) + sp.kron(eye, a1))
-    ref = spla.spsolve(a.tocsc(), dens.values)
+    ref = _solve_direct(g, 0.0, dens.values)
     # the cg exit test controls the weighted-L1 residual, not sup error
     np.testing.assert_allclose(u.values, ref, atol=1e-7)
+
+
+_MAX_N = {1: 40, 2: 16, 3: 7}
+
+
+@st.composite
+def _shifted_systems(draw):
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(1, _MAX_N[dim])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["zero", "constant", "random"]))
+    top = draw(st.floats(0.0, 1e3))
+    if kind == "zero":
+        diag = 0.0
+    elif kind == "constant":
+        diag = top
+    else:
+        diag = rng.uniform(0.0, top, grid.total_interior)
+    rhs = rng.standard_normal(grid.total_interior)
+    x0 = rng.standard_normal(grid.total_interior) if draw(st.booleans()) else None
+    return grid, diag, rhs, x0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shifted_systems())
+def test_solve_shifted_matches_sparse_direct(system):
+    grid, diag, rhs, x0 = system
+    atol = 1e-10
+    x, iters = _solve_shifted(grid, diag, rhs, atol_l1=atol, x0=x0)
+    if np.ndim(diag) == 0:
+        assert iters <= 1  # the sine-transform preconditioner is exact here
+    ref = _solve_direct(grid, diag, rhs)
+    np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
+    residual = neg_laplacian_apply(ScalarField(grid, x)).values + diag * x - rhs
+    assert lp_norm(ScalarField(grid, residual), 1.0) <= atol
 
 
 # ---------------------------------------------------------------------------
