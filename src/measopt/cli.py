@@ -19,6 +19,7 @@ failure, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -56,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--config", default=None, help="JSON file of parameter overrides")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default="measopt_out")
-    pe.add_argument("--threads", type=int, default=1)
 
     sub.add_parser("list", help="list registered experiments")
     return parser
@@ -170,8 +170,7 @@ def _cmd_optimize(args) -> int:
     prob = ControlProblem(grid, g, u_d, _parse_p(doc.get("p", 2.0)),
                           float(doc["alpha"]))
     opt = doc.get("optimizer", {})
-    allowed = {"max_iter", "step0", "backtrack", "eps_smooth", "f_rtol",
-               "max_backtracks", "solver_tol", "step_grow"}
+    allowed = {f.name for f in dataclasses.fields(OptimizeConfig)} - {"initial_control"}
     bad = set(opt) - allowed
     if bad:
         raise ValueError(f"unknown optimizer option(s): {', '.join(sorted(bad))}")
@@ -205,8 +204,6 @@ def _cmd_experiment(args) -> int:
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: overrides must be a JSON object")
         overrides.pop("schema", None)
-    if args.threads != 1:
-        overrides["threads"] = args.threads
     report = run_experiment(args.name, parameters=overrides,
                             output_dir=args.out, seed=args.seed)
     for row in report.assertions:

@@ -80,18 +80,38 @@ class OptimizeConfig:
     initial_control: ScalarField | None = None
 
     def __post_init__(self):
-        if not self.solver_tol > 0.0:
-            raise ValueError(
-                f"invalid config: solver_tol must be positive, got {self.solver_tol!r}")
+        rules = (
+            ("max_iter", self.max_iter >= 0, ">= 0"),
+            ("step0", math.isfinite(self.step0) and self.step0 > 0.0,
+             "finite and positive"),
+            ("backtrack", 0.0 < self.backtrack < 1.0, "in (0, 1)"),
+            ("max_backtracks", self.max_backtracks >= 1, ">= 1"),
+            ("step_grow", math.isfinite(self.step_grow) and self.step_grow >= 1.0,
+             "finite and >= 1"),
+            ("f_rtol", self.f_rtol >= 0.0, ">= 0"),
+            ("eps_smooth", self.eps_smooth is None or self.eps_smooth > 0.0,
+             "positive or null"),
+            ("solver_tol", self.solver_tol > 0.0, "positive"),
+        )
+        for name, ok, need in rules:
+            if not ok:
+                raise ValueError(f"invalid config: {name} must be {need}, "
+                                 f"got {getattr(self, name)!r}")
+
+
+def _solve_state(prob: ControlProblem, m: DiscreteMeasure, tol: float) -> ScalarField:
+    """The state of m; a failed solve leaves F(m) without a finite value."""
+    try:
+        u, _ = solve_semilinear(prob.grid, prob.g, m, tol=tol)
+    except ConvergenceError as exc:
+        raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
+    return u
 
 
 def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure,
                   tol: float = DEFAULT_TOL) -> float:
     """F(m) = misfit of the state plus alpha times the tv norm."""
-    try:
-        u, _ = solve_semilinear(prob.grid, prob.g, m, tol=tol)
-    except ConvergenceError as exc:
-        raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
+    u = _solve_state(prob, m, tol)
     return lp_norm(ScalarField(prob.grid, u.values - prob.u_d.values), prob.p) \
         + prob.alpha * tv_norm(m)
 
@@ -142,10 +162,7 @@ def adjoint_gradient(prob: ControlProblem, m: DiscreteMeasure,
     the h^dim-weighted inner product, so directional derivatives are
     recovered as <phi, direction>_h.
     """
-    try:
-        u, _ = solve_semilinear(prob.grid, prob.g, m, tol=tol)
-    except ConvergenceError as exc:
-        raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
+    u = _solve_state(prob, m, tol)
     eps = _smoothing_width(prob, eps_smooth)
     return ScalarField(prob.grid, _adjoint_from_state(prob, u.values, eps, tol))
 
@@ -182,8 +199,7 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     eps = _smoothing_width(prob, cfg.eps_smooth)
 
     def state_for(c_values):
-        u, _ = solve_semilinear(grid, prob.g, _measure_of(c_values), tol=cfg.solver_tol)
-        return u.values
+        return _solve_state(prob, _measure_of(c_values), cfg.solver_tol).values
 
     def _measure_of(c_values):
         return DiscreteMeasure.from_density(ScalarField(grid, c_values))
@@ -193,10 +209,7 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
         c = cfg.initial_control.values.copy()
     else:
         c = np.zeros(grid.total_interior)
-    try:
-        u_vals = state_for(c)
-    except ConvergenceError as exc:
-        raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
+    u_vals = state_for(c)
     f_cur = _true_misfit(prob, u_vals) + prob.alpha * float(np.abs(c).sum()) * hd
 
     phi = _adjoint_from_state(prob, u_vals, eps, cfg.solver_tol)
@@ -210,7 +223,7 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
             c_try = prox_l1(ScalarField(grid, c - tau * phi), tau * prob.alpha * hd).values
             try:
                 u_try = state_for(c_try)
-            except ConvergenceError:
+            except CostUnavailableError:
                 tau *= cfg.backtrack
                 continue
             f_try = _true_misfit(prob, u_try) + prob.alpha * float(np.abs(c_try).sum()) * hd

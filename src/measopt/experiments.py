@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -70,12 +69,15 @@ def list_experiments() -> list:
 
 def run_experiment(name: str, parameters: dict | None = None,
                    output_dir="measopt_out", seed: int = 0) -> ExperimentReport:
-    """Run a registered experiment with defaults overridden by ``parameters``."""
+    """Run a registered experiment; ``parameters`` may override only its defaults."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(_REGISTRY)}")
     fn, defaults = _REGISTRY[name]
-    params = dict(defaults)
-    params.update(parameters or {})
+    parameters = parameters or {}
+    unknown = sorted(set(parameters) - set(defaults))
+    if unknown:
+        raise ValueError(f"invalid config: unknown parameter(s) for {name}: {unknown}")
+    params = {**defaults, **parameters}
     out = Path(output_dir) / name
     out.mkdir(parents=True, exist_ok=True)
     return fn(ExperimentSpec(name=name, parameters=params, output_dir=out,
@@ -135,15 +137,6 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     return v
-
-
-def _map_ordered(fn, items, threads: int) -> list:
-    # inputs are generated up front, so order-stable merging keeps runs
-    # deterministic regardless of scheduling
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _random_sines(grid, rng, amplitude: float) -> np.ndarray:
@@ -223,13 +216,10 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
         assertions.append(failure)
         return _finish(spec, assertions, tables, extras)
 
-    # re-solve per level for the misfit norms the trace does not carry
-    f_tables = {p: [] for p in p_values}
-    for k, grid in enumerate(grids):
-        u_k, _ = solve_semilinear(grid, Nonlinearity.power(q), measures[k], tol=tol)
-        for p in p_values:
-            misfit = _lp(u_k.values - ud_fields[k].values, p, grid)
-            f_tables[p].append(misfit + alpha * tv_norm(measures[k]))
+    per_level = list(zip(result.states, ud_fields, grids, measures))
+    f_tables = {p: [_lp(u.values - ud.values, p, grid) + alpha * tv_norm(m)
+                    for u, ud, grid, m in per_level]
+                for p in p_values}
 
     rows = []
     for rec in result.trace:
@@ -364,7 +354,6 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
     "dim": 2,
     "lemma_n": 17,
     "truncate_n": 33,
-    "threads": 1,
 })
 def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     """Randomized checks of the paired and tv truncation inequalities.
@@ -380,7 +369,6 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     rng = np.random.default_rng(spec.seed)
     lemma_grid = build_grid(dim, int(par["lemma_n"]))
     trunc_grid = build_grid(dim, int(par["truncate_n"]))
-    threads = int(par["threads"])
 
     lemma_inputs = []
     for _ in range(instances):
@@ -421,8 +409,8 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
         _, nu = truncate_min(u, w, g)
         return tv_norm(residual_measure(trunc_grid, g, u)) - tv_norm(nu)
 
-    lemma_slacks = _map_ordered(lemma_case, lemma_inputs, threads)
-    trunc_slacks = _map_ordered(trunc_case, trunc_inputs, threads)
+    lemma_slacks = [lemma_case(args) for args in lemma_inputs]
+    trunc_slacks = [trunc_case(args) for args in trunc_inputs]
 
     rows = [[i, "paired-inequality", s] for i, s in enumerate(lemma_slacks)]
     rows += [[i, "tv-comparison", s] for i, s in enumerate(trunc_slacks)]
@@ -461,7 +449,6 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     "alpha": 0.02,
     "q": 3.0,
     "max_iter": 120,
-    "threads": 1,
 })
 def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     """Optimize random bounded targets and audit minimizer regularity.
@@ -503,7 +490,7 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
         misfit = _lp(res.u_star.values - vals, p, grid)
         return res, rep, pointwise_slack(misfit, rep.slack)
 
-    results = _map_ordered(case, targets, int(par["threads"]))
+    results = [case(vals) for vals in targets]
 
     rows = []
     trunc_ok, sup_ok, sign_ok = [], [], []

@@ -68,7 +68,6 @@ class Nonlinearity:
         obj = cls("power", {"g": g, "dg": dg, "G": G, "max_dg": max_dg,
                             "reflect": lambda: obj},
                   label=f"power(q={q:g})")
-        obj.exponent = q
         return obj
 
     @classmethod
@@ -83,7 +82,6 @@ class Nonlinearity:
                              "max_dg": lambda lo, hi: lam,
                              "reflect": lambda: obj},
                   label=f"linear(lam={lam:g})")
-        obj.slope = lam
         return obj
 
     @classmethod

@@ -263,7 +263,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
                                  method="monotone+cg", inner_iterations=inner_total)
             return ScalarField(grid, u), report
     report = SolveReport(max_iter, residual, False, time.perf_counter() - t0,
-                         method="monotone", inner_iterations=inner_total)
+                         method="monotone+cg", inner_iterations=inner_total)
     raise ConvergenceError(f"no convergence: monotone iteration residual {residual:.3e}",
                            report=report, field=ScalarField(grid, u))
 
@@ -365,6 +365,7 @@ class ReducedLimitResult:
     u_sharp: ScalarField
     mu_sharp: DiscreteMeasure
     trace: list = field(default_factory=list)
+    states: list = field(default_factory=list)
 
 
 def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
@@ -374,9 +375,9 @@ def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
     Each level k solves -Lap u_k + g(u_k) = measure_schedule(k) on
     grid_schedule[k]; coarse solutions are injected onto the finest grid
     by multilinear interpolation to report L1 Cauchy differences.  The
-    returned mu_sharp is the residual measure of the finest solution.
-    The trace also carries the empirical ratio w11(u)/tv(mu), for which
-    no sharp constant is asserted.
+    returned mu_sharp is the residual measure of the finest solution, and
+    states holds u_k for every level.  The trace also carries the
+    empirical ratio w11(u)/tv(mu), for which no sharp constant is asserted.
     """
     from .grid import interpolate_to, w11_norm
 
@@ -388,8 +389,8 @@ def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
         raise ValueError("invalid config: grids must refine in one dimension")
     finest = grids[-1]
     trace = []
+    states = []
     prev_injected = None
-    u = None
     for k, grid in enumerate(grids):
         mu = measure_schedule(k)
         try:
@@ -397,6 +398,7 @@ def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
         except ConvergenceError as exc:
             exc.trace = trace
             raise
+        states.append(u)
         injected = interpolate_to(u, finest) if grid != finest else u
         cauchy = math.nan
         if prev_injected is not None:
@@ -414,4 +416,4 @@ def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
             iterations=report.iterations,
             residual=report.final_residual))
     return ReducedLimitResult(u_sharp=u, mu_sharp=residual_measure(finest, g, u),
-                              trace=trace)
+                              trace=trace, states=states)

@@ -202,7 +202,7 @@ def test_criterion_10_alpha_sweep_monotone():
 
 
 def test_criterion_11_deterministic_reruns(tmp_path):
-    params = {"instances": 40, "threads": 2}
+    params = {"instances": 40}
     r1 = run_experiment("exp_truncation_suite", params,
                         output_dir=tmp_path / "a", seed=11)
     r2 = run_experiment("exp_truncation_suite", params,
@@ -211,4 +211,4 @@ def test_criterion_11_deterministic_reruns(tmp_path):
     same = all(open(a, "rb").read() == open(b, "rb").read() for a, b in pairs)
     ok = same and len(pairs) == 2
     assert _verdict(11, ok, "same-seed reruns produced byte-identical tables "
-                    f"({len(pairs)} files compared, threads=2)")
+                    f"({len(pairs)} files compared)")

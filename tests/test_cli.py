@@ -10,6 +10,7 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      build_grid, constant_field, load_field, named_field,
                      save_field, solve_semilinear)
 from measopt.cli import run_cli
+from measopt.experiments import run_experiment
 
 PROBLEM = {
     "schema": 1,
@@ -137,13 +138,26 @@ def test_optimize_rejects_unknown_option(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
-def test_optimize_rejects_nonpositive_solver_tol(tmp_path, capsys, tol):
+BAD_OPTIMIZER_OPTIONS = [
+    ("solver_tol", 0.0), ("solver_tol", -1.0),
+    ("max_iter", -3),
+    ("step0", 0.0), ("step0", -1.0), ("step0", float("inf")), ("step0", float("nan")),
+    ("backtrack", 0.0), ("backtrack", 1.0), ("backtrack", 1.5),
+    ("max_backtracks", 0),
+    ("step_grow", 0.5), ("step_grow", float("inf")),
+    ("f_rtol", -1e-9),
+    ("eps_smooth", 0.0), ("eps_smooth", -1e-3),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_OPTIMIZER_OPTIONS,
+                         ids=[f"{k}={v!r}" for k, v in BAD_OPTIMIZER_OPTIONS])
+def test_optimize_rejects_out_of_range_option(tmp_path, capsys, key, value):
     doc = dict(PROBLEM)
-    doc["optimizer"] = {"solver_tol": tol}
+    doc["optimizer"] = {key: value}
     path = _write_problem(tmp_path, doc)
     assert run_cli(["optimize", str(path), "--out", str(tmp_path / "opt")]) == 2
-    assert "solver_tol" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_optimize_unavailable_cost_exits_one(tmp_path, capsys, monkeypatch):
@@ -185,6 +199,27 @@ def test_experiment_failure_exit_one(tmp_path, capsys):
 def test_experiment_unknown_name(tmp_path, capsys):
     assert run_cli(["experiment", "exp_bogus", "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_experiment_rejects_threads_flag(tmp_path):
+    assert run_cli(["experiment", "exp_nonconvexity", "--threads", "4",
+                    "--out", str(tmp_path)]) == 2
+
+
+def test_experiment_config_unknown_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({"schema": 1, "n": 9, "threads": 2}, fh)
+    assert run_cli(["experiment", "exp_nonconvexity", "--config", str(cfg),
+                    "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown parameter" in err and "threads" in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_run_experiment_rejects_unknown_parameter(tmp_path):
+    with pytest.raises(ValueError, match="bogus"):
+        run_experiment("exp_truncation_suite", {"bogus": 1}, output_dir=tmp_path)
 
 
 @pytest.mark.skipif(shutil.which("measopt") is None,

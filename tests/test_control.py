@@ -64,13 +64,42 @@ def test_evaluate_cost_wraps_solver_failure(monkeypatch):
     import measopt.control as control
     from measopt.solver import ConvergenceError
 
+    report = object()
+
     def boom(*args, **kwargs):
-        raise ConvergenceError("no convergence: forced")
+        raise ConvergenceError("no convergence: forced", report=report)
 
     monkeypatch.setattr(control, "solve_semilinear", boom)
     grid = build_grid(2, 5)
-    with pytest.raises(CostUnavailableError):
-        evaluate_cost(_problem(grid), DiscreteMeasure.zero(2))
+    for call in (lambda: evaluate_cost(_problem(grid), DiscreteMeasure.zero(2)),
+                 lambda: adjoint_gradient(_problem(grid), DiscreteMeasure.zero(2)),
+                 lambda: optimize(_problem(grid))):
+        with pytest.raises(CostUnavailableError) as err:
+            call()
+        assert err.value.report is report
+        assert isinstance(err.value.__cause__, ConvergenceError)
+
+
+def test_optimize_backtracks_past_failed_trial_solve(monkeypatch):
+    import measopt.control as control
+    from measopt.solver import ConvergenceError
+
+    real = control.solve_semilinear
+    calls = []
+
+    def fails_on_first_trial(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # call 1 is the start state, call 2 the first trial
+            raise ConvergenceError("no convergence: forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_semilinear", fails_on_first_trial)
+    grid = build_grid(2, 9)
+    prob = _problem(grid, alpha=0.05, u_d=named_field(grid, "sines", {"amplitude": 0.5}))
+    res = optimize(prob, OptimizeConfig(max_iter=3))
+    assert len(res.history) >= 2
+    assert res.history[1].step <= 0.5
+    assert res.F_value < res.f_zero
 
 
 # ---------------------------------------------------------------------------

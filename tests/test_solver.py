@@ -294,6 +294,7 @@ def test_monotone_iteration_cap_carries_partial_result():
         solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper, max_iter=1)
     assert err.value.field is not None
     assert err.value.report.converged is False
+    assert err.value.report.method == "monotone+cg"
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +432,8 @@ def test_reduced_limit_fixed_atom():
     result = reduced_limit(grids, lambda k: delta, Nonlinearity.power(2.0))
     assert len(result.trace) == 2
     assert result.u_sharp.grid == grids[-1]
+    assert [u.grid for u in result.states] == grids
+    assert result.states[-1] is result.u_sharp
     assert math.isnan(result.trace[0].cauchy_l1)
     assert result.trace[1].cauchy_l1 < 0.05
     for rec in result.trace:
