@@ -6,7 +6,12 @@ gradient loop drives it: the misfit gradient comes from one adjoint
 solve, the total-variation term from componentwise soft thresholding.
 For p = 1 the misfit is Huber-smoothed and for p = inf log-sum-exp
 smoothed when differentiating; reported F values always use the true
-norm.
+norm, through ``ControlProblem.cost``.
+
+The line search starts at step STEP0, multiplies the step by BACKTRACK
+after each rejected trial (at most MAX_BACKTRACKS trials per iteration)
+and by STEP_GROW after an accepted one, and the loop stops once the
+relative F decrease falls below F_RTOL.
 """
 from __future__ import annotations
 
@@ -21,9 +26,16 @@ from .nonlinearity import Nonlinearity
 from .solver import (DEFAULT_TOL, ConvergenceError, _solve_shifted,
                      solve_semilinear, truncate_max, truncate_min)
 
+STEP0 = 1.0
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+STEP_GROW = 2.0
+F_RTOL = 1e-9
+
 
 class CostUnavailableError(RuntimeError):
-    """The state solve failed, so F(mu) has no finite discrete value."""
+    """A state or adjoint solve failed, so F(mu) or its gradient has no
+    finite discrete value."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -45,6 +57,14 @@ class ControlProblem:
             raise ValueError(f"invalid exponent: p must be >= 1 or inf, got {self.p!r}")
         if not self.alpha > 0.0:
             raise ValueError(f"invalid config: alpha must be positive, got {self.alpha!r}")
+
+    def misfit(self, u_values: np.ndarray) -> float:
+        """||u - u_d||_{L^p,h} of the state with node values u_values."""
+        return _lp(u_values - self.u_d.values, self.p, self.grid)
+
+    def cost(self, u_values: np.ndarray, m: DiscreteMeasure) -> float:
+        """F(m) given the node values of its state."""
+        return self.misfit(u_values) + self.alpha * tv_norm(m)
 
 
 @dataclass
@@ -70,36 +90,18 @@ class OptimResult:
 @dataclass
 class OptimizeConfig:
     max_iter: int = 200
-    step0: float = 1.0
-    backtrack: float = 0.5
-    eps_smooth: float | None = None
-    f_rtol: float = 1e-9
-    max_backtracks: int = 40
-    solver_tol: float = DEFAULT_TOL
-    step_grow: float = 2.0
     initial_control: ScalarField | None = None
 
     def __post_init__(self):
-        rules = (
-            ("max_iter", self.max_iter >= 0, ">= 0"),
-            ("step0", math.isfinite(self.step0) and self.step0 > 0.0,
-             "finite and positive"),
-            ("backtrack", 0.0 < self.backtrack < 1.0, "in (0, 1)"),
-            ("max_backtracks", self.max_backtracks >= 1, ">= 1"),
-            ("step_grow", math.isfinite(self.step_grow) and self.step_grow >= 1.0,
-             "finite and >= 1"),
-            ("f_rtol", self.f_rtol >= 0.0, ">= 0"),
-            ("eps_smooth", self.eps_smooth is None or self.eps_smooth > 0.0,
-             "positive or null"),
-            ("solver_tol", self.solver_tol > 0.0, "positive"),
-        )
-        for name, ok, need in rules:
-            if not ok:
-                raise ValueError(f"invalid config: {name} must be {need}, "
-                                 f"got {getattr(self, name)!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"invalid config: max_iter must be an integer, "
+                             f"got {self.max_iter!r}")
+        if self.max_iter < 0:
+            raise ValueError(f"invalid config: max_iter must be >= 0, got {self.max_iter!r}")
 
 
-def _solve_state(prob: ControlProblem, m: DiscreteMeasure, tol: float) -> ScalarField:
+def _solve_state(prob: ControlProblem, m: DiscreteMeasure,
+                 tol: float = DEFAULT_TOL) -> ScalarField:
     """The state of m; a failed solve leaves F(m) without a finite value."""
     try:
         u, _ = solve_semilinear(prob.grid, prob.g, m, tol=tol)
@@ -111,31 +113,26 @@ def _solve_state(prob: ControlProblem, m: DiscreteMeasure, tol: float) -> Scalar
 def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure,
                   tol: float = DEFAULT_TOL) -> float:
     """F(m) = misfit of the state plus alpha times the tv norm."""
-    u = _solve_state(prob, m, tol)
-    return lp_norm(ScalarField(prob.grid, u.values - prob.u_d.values), prob.p) \
-        + prob.alpha * tv_norm(m)
+    return prob.cost(_solve_state(prob, m, tol).values, m)
 
 
-def _smoothing_width(prob: ControlProblem, eps_smooth) -> float:
-    if eps_smooth is not None:
-        return float(eps_smooth)
+def _smoothing_width(prob: ControlProblem) -> float:
     scale = float(np.abs(prob.u_d.values).max()) if prob.u_d.values.size else 0.0
     return 1e-3 * scale if scale > 0.0 else 1e-3
 
 
-def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray,
-                             eps: float) -> np.ndarray:
+def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:
     """L2-representer of the misfit derivative in u (the adjoint rhs)."""
     e = u_values - prob.u_d.values
     p = prob.p
     if p == 1.0:
-        return np.clip(e / eps, -1.0, 1.0)
+        return np.clip(e / _smoothing_width(prob), -1.0, 1.0)
     if p == math.inf:
         a = np.abs(e)
         top = float(a.max())
         if top == 0.0:
             return np.zeros_like(e)
-        w = np.exp((a - top) / eps)
+        w = np.exp((a - top) / _smoothing_width(prob))
         w /= w.sum()
         return np.sign(e) * w / prob.grid.cell_volume
     norm = _lp(e, p, prob.grid)
@@ -144,17 +141,19 @@ def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray,
     return np.sign(e) * np.abs(e) ** (p - 1.0) / norm ** (p - 1.0)
 
 
-def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray,
-                        eps: float, tol: float) -> np.ndarray:
-    rhs = _misfit_gradient_density(prob, u_values, eps)
+def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:
+    """The adjoint state; a failed solve leaves the gradient without a value."""
+    rhs = _misfit_gradient_density(prob, u_values)
     dg = np.maximum(np.asarray(prob.g.derivative(u_values)), 0.0)
-    phi, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=max(tol * 1e-2, 1e-14))
+    try:
+        phi, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=DEFAULT_TOL * 1e-2)
+    except ConvergenceError as exc:
+        raise CostUnavailableError(f"gradient unavailable: {exc}",
+                                   report=exc.report) from exc
     return phi
 
 
-def adjoint_gradient(prob: ControlProblem, m: DiscreteMeasure,
-                     eps_smooth: float | None = None,
-                     tol: float = DEFAULT_TOL) -> ScalarField:
+def adjoint_gradient(prob: ControlProblem, m: DiscreteMeasure) -> ScalarField:
     """Gradient of the misfit with respect to the control density.
 
     Solves the linearized adjoint equation (-Lap_h + g'(u)) phi equal to
@@ -162,9 +161,8 @@ def adjoint_gradient(prob: ControlProblem, m: DiscreteMeasure,
     the h^dim-weighted inner product, so directional derivatives are
     recovered as <phi, direction>_h.
     """
-    u = _solve_state(prob, m, tol)
-    eps = _smoothing_width(prob, eps_smooth)
-    return ScalarField(prob.grid, _adjoint_from_state(prob, u.values, eps, tol))
+    u = _solve_state(prob, m)
+    return ScalarField(prob.grid, _adjoint_from_state(prob, u.values))
 
 
 def prox_l1(v: ScalarField, threshold: float) -> ScalarField:
@@ -181,10 +179,6 @@ def prox_l1(v: ScalarField, threshold: float) -> ScalarField:
     return ScalarField(v.grid, vals)
 
 
-def _true_misfit(prob: ControlProblem, u_values: np.ndarray) -> float:
-    return _lp(u_values - prob.u_d.values, prob.p, prob.grid)
-
-
 def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> OptimResult:
     """Minimize F by proximal gradient descent from the zero control.
 
@@ -196,56 +190,55 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     cfg = config or OptimizeConfig()
     grid = prob.grid
     hd = grid.cell_volume
-    eps = _smoothing_width(prob, cfg.eps_smooth)
 
-    def state_for(c_values):
-        return _solve_state(prob, _measure_of(c_values), cfg.solver_tol).values
-
-    def _measure_of(c_values):
+    def measure_of(c_values):
         return DiscreteMeasure.from_density(ScalarField(grid, c_values))
 
-    f_zero = _true_misfit(prob, np.zeros(grid.total_interior))
+    def cost_of(c_values):
+        m = measure_of(c_values)
+        u_values = _solve_state(prob, m).values
+        return u_values, prob.cost(u_values, m)
+
+    f_zero = prob.misfit(np.zeros(grid.total_interior))
     if cfg.initial_control is not None:
         c = cfg.initial_control.values.copy()
     else:
         c = np.zeros(grid.total_interior)
-    u_vals = state_for(c)
-    f_cur = _true_misfit(prob, u_vals) + prob.alpha * float(np.abs(c).sum()) * hd
+    u_vals, f_cur = cost_of(c)
 
-    phi = _adjoint_from_state(prob, u_vals, eps, cfg.solver_tol)
+    phi = _adjoint_from_state(prob, u_vals)
     history = [HistoryEntry(0, f_cur, _lp(phi, 2.0, grid), 0.0)]
-    tau = cfg.step0
+    tau = STEP0
     converged = False
     last_rel = math.inf
     for it in range(1, cfg.max_iter + 1):
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             c_try = prox_l1(ScalarField(grid, c - tau * phi), tau * prob.alpha * hd).values
             try:
-                u_try = state_for(c_try)
+                u_try, f_try = cost_of(c_try)
             except CostUnavailableError:
-                tau *= cfg.backtrack
+                tau *= BACKTRACK
                 continue
-            f_try = _true_misfit(prob, u_try) + prob.alpha * float(np.abs(c_try).sum()) * hd
             if f_try < f_cur:
                 accepted = True
                 break
-            tau *= cfg.backtrack
+            tau *= BACKTRACK
         if not accepted:
             converged = True  # prox-stationary within line-search resolution
             break
         last_rel = (f_cur - f_try) / max(abs(f_cur), 1e-300)
         c, u_vals, f_cur = c_try, u_try, f_try
-        phi = _adjoint_from_state(prob, u_vals, eps, cfg.solver_tol)
+        phi = _adjoint_from_state(prob, u_vals)
         history.append(HistoryEntry(it, f_cur, _lp(phi, 2.0, grid), tau))
-        tau *= cfg.step_grow
-        if last_rel < cfg.f_rtol:
+        tau *= STEP_GROW
+        if last_rel < F_RTOL:
             converged = True
             break
 
     slack = max(1e-6, 10.0 * last_rel if math.isfinite(last_rel) else 1e-6)
     return OptimResult(
-        mu_star=_measure_of(c),
+        mu_star=measure_of(c),
         u_star=ScalarField(grid, u_vals),
         F_value=f_cur,
         history=history,
@@ -253,6 +246,17 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
         converged=converged,
         slack=slack,
         f_zero=f_zero)
+
+
+def _better_of_cold_and_warm(prob: ControlProblem, cfg: OptimizeConfig,
+                             warm: ScalarField | None) -> OptimResult:
+    """Optimize from cfg's start and, given warm, from warm; keep the lower F."""
+    res = optimize(prob, cfg)
+    if warm is not None:
+        res_w = optimize(prob, replace(cfg, initial_control=warm))
+        if res_w.F_value < res.F_value:
+            res = res_w
+    return res
 
 
 @dataclass
@@ -283,7 +287,7 @@ def check_state_regularity(prob: ControlProblem, result: OptimResult,
     upper = constant_field(grid, ud_inf)
     z1, _ = truncate_min(result.u_star, upper, prob.g)
     z, nu = truncate_max(z1, constant_field(grid, -ud_inf), prob.g)
-    f_trunc = _true_misfit(prob, z.values) + prob.alpha * tv_norm(nu)
+    f_trunc = prob.cost(z.values, nu)
     improved = result.F_value - f_trunc > slack
     return RegularityReport(
         min_state=float(result.u_star.values.min()),
@@ -325,16 +329,11 @@ def alpha_sweep(prob: ControlProblem, alphas,
     rows = []
     warm = None
     for a in alphas:
-        sub = replace(prob, alpha=a)
-        res = optimize(sub, cfg)
-        if warm is not None:
-            res_w = optimize(sub, replace(cfg, initial_control=warm))
-            if res_w.F_value < res.F_value:
-                res = res_w
+        res = _better_of_cold_and_warm(replace(prob, alpha=a), cfg, warm)
         warm = ScalarField(prob.grid, res.mu_star.density.values)
         rows.append(SweepRow(
             alpha=a,
-            misfit=_true_misfit(prob, res.u_star.values),
+            misfit=prob.misfit(res.u_star.values),
             tv=tv_norm(res.mu_star),
             f_value=res.F_value,
             iterations=len(res.history) - 1,
@@ -371,11 +370,8 @@ def stability_run(prob: ControlProblem, perturbations,
             raise ValueError("invalid input: perturbation lives on a different grid")
         pert = replace(prob, u_d=ScalarField(prob.grid,
                                              prob.u_d.values + delta.values))
-        res = optimize(pert, cfg)
-        res_w = optimize(pert, replace(cfg, initial_control=base_control))
-        if res_w.F_value < res.F_value:
-            res = res_w
-        f_cross = _true_misfit(prob, res.u_star.values) + prob.alpha * tv_norm(res.mu_star)
+        res = _better_of_cold_and_warm(pert, cfg, base_control)
+        f_cross = prob.cost(res.u_star.values, res.mu_star)
         excess = f_cross - base.F_value
         dn = lp_norm(delta, prob.p)
         bound = 2.0 * dn + res.slack + base.slack

@@ -211,13 +211,14 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
             return None, _row("schedule-convergence-" + tag, False, detail,
                               "good-measure-existence", "converged")
 
-    result, failure = run_schedule(Nonlinearity.power(q), "supercritical")
+    g_super = Nonlinearity.power(q)
+    result, failure = run_schedule(g_super, "supercritical")
     if failure is not None:
         assertions.append(failure)
         return _finish(spec, assertions, tables, extras)
 
     per_level = list(zip(result.states, ud_fields, grids, measures))
-    f_tables = {p: [_lp(u.values - ud.values, p, grid) + alpha * tv_norm(m)
+    f_tables = {p: [ControlProblem(grid, g_super, ud, p, alpha).cost(u.values, m)
                     for u, ud, grid, m in per_level]
                 for p in p_values}
 
@@ -487,8 +488,7 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
         prob = ControlProblem(grid, g, ScalarField(grid, vals), p, alpha)
         res = optimize(prob, cfg)
         rep = check_state_regularity(prob, res)
-        misfit = _lp(res.u_star.values - vals, p, grid)
-        return res, rep, pointwise_slack(misfit, rep.slack)
+        return res, rep, pointwise_slack(prob.misfit(res.u_star.values), rep.slack)
 
     results = [case(vals) for vals in targets]
 
@@ -529,11 +529,9 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     prob_w = ControlProblem(grid, g, w, p, alpha)
     res_w = optimize(prob_w, cfg)
     z, nu_z = truncate_min(res_w.u_star, w, g)
-    f_trunc_w = _lp(z.values - w.values, p, grid) + alpha * tv_norm(nu_z)
-    drop = res_w.F_value - f_trunc_w
-    misfit_w = _lp(res_w.u_star.values - w.values, p, grid)
+    drop = res_w.F_value - prob_w.cost(z.values, nu_z)
     w_margin = float((res_w.u_star.values - w.values).max())
-    w_beta = pointwise_slack(misfit_w, res_w.slack)
+    w_beta = pointwise_slack(prob_w.misfit(res_w.u_star.values), res_w.slack)
     assertions.append(_row(
         "supersolution-truncation-no-improvement", drop <= res_w.slack,
         f"F drop under truncation at w is {drop!r} with slack {res_w.slack!r}",

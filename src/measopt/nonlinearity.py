@@ -15,10 +15,9 @@ import numpy as np
 
 
 class Nonlinearity:
-    def __init__(self, kind: str, fns: dict, label: str = ""):
-        self.kind = kind
+    def __init__(self, fns: dict, label: str):
         self._fns = fns
-        self.label = label or kind
+        self.label = label
 
     def __repr__(self):
         return f"Nonlinearity({self.label})"
@@ -65,8 +64,8 @@ class Nonlinearity:
         def max_dg(lo, hi):
             return q * max(abs(lo), abs(hi)) ** (q - 1.0) if q > 1.0 else q
 
-        obj = cls("power", {"g": g, "dg": dg, "G": G, "max_dg": max_dg,
-                            "reflect": lambda: obj},
+        obj = cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg,
+                   "reflect": lambda: obj},
                   label=f"power(q={q:g})")
         return obj
 
@@ -76,11 +75,11 @@ class Nonlinearity:
         lam = float(lam)
         if lam < 0.0:
             raise ValueError(f"invalid nonlinearity: linear slope must be >= 0, got {lam}")
-        obj = cls("linear", {"g": lambda t: lam * t,
-                             "dg": lambda t: np.full_like(t, lam),
-                             "G": lambda t: 0.5 * lam * t * t,
-                             "max_dg": lambda lo, hi: lam,
-                             "reflect": lambda: obj},
+        obj = cls({"g": lambda t: lam * t,
+                   "dg": lambda t: np.full_like(t, lam),
+                   "G": lambda t: 0.5 * lam * t * t,
+                   "max_dg": lambda lo, hi: lam,
+                   "reflect": lambda: obj},
                   label=f"linear(lam={lam:g})")
         return obj
 
@@ -148,8 +147,7 @@ class Nonlinearity:
         def reflect():
             return cls.table(-ts[::-1], -gs[::-1])
 
-        return cls("table", {"g": g, "dg": dg, "G": G, "max_dg": max_dg,
-                             "reflect": reflect},
+        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg, "reflect": reflect},
                    label=f"table({ts.size} pts)")
 
     @classmethod
@@ -198,8 +196,8 @@ class Nonlinearity:
                                      deriv=refl_deriv, primitive=refl_prim,
                                      label=f"reflected {label}")
 
-        return cls("callable", {"g": g, "dg": dg, "G": G, "max_dg": max_dg,
-                                "reflect": reflect}, label=label)
+        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg, "reflect": reflect},
+                   label=label or "callable")
 
 
 def nonlinearity_from_config(cfg: dict) -> Nonlinearity:

@@ -140,7 +140,7 @@ def test_optimize_rejects_unknown_option(tmp_path, capsys):
 
 BAD_OPTIMIZER_OPTIONS = [
     ("solver_tol", 0.0), ("solver_tol", -1.0),
-    ("max_iter", -3),
+    ("max_iter", -3), ("max_iter", 2.5), ("max_iter", "5"), ("max_iter", True),
     ("step0", 0.0), ("step0", -1.0), ("step0", float("inf")), ("step0", float("nan")),
     ("backtrack", 0.0), ("backtrack", 1.0), ("backtrack", 1.5),
     ("max_backtracks", 0),

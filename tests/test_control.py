@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from measopt import (ControlProblem, CostUnavailableError, DiscreteMeasure,
                      Nonlinearity, OptimizeConfig, ScalarField,
@@ -69,15 +72,27 @@ def test_evaluate_cost_wraps_solver_failure(monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceError("no convergence: forced", report=report)
 
-    monkeypatch.setattr(control, "solve_semilinear", boom)
     grid = build_grid(2, 5)
-    for call in (lambda: evaluate_cost(_problem(grid), DiscreteMeasure.zero(2)),
-                 lambda: adjoint_gradient(_problem(grid), DiscreteMeasure.zero(2)),
-                 lambda: optimize(_problem(grid))):
+
+    def assert_wrapped(call):
         with pytest.raises(CostUnavailableError) as err:
             call()
         assert err.value.report is report
         assert isinstance(err.value.__cause__, ConvergenceError)
+
+    # the state solve fails
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "solve_semilinear", boom)
+        for call in (lambda: evaluate_cost(_problem(grid), DiscreteMeasure.zero(2)),
+                     lambda: adjoint_gradient(_problem(grid), DiscreteMeasure.zero(2)),
+                     lambda: optimize(_problem(grid))):
+            assert_wrapped(call)
+    # the state solve succeeds and the adjoint solve fails
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "_solve_shifted", boom)
+        for call in (lambda: adjoint_gradient(_problem(grid), DiscreteMeasure.zero(2)),
+                     lambda: optimize(_problem(grid))):
+            assert_wrapped(call)
 
 
 def test_optimize_backtracks_past_failed_trial_solve(monkeypatch):
@@ -132,27 +147,32 @@ def test_gradient_linear_case_matches_chained_solves():
     np.testing.assert_allclose(phi.values, ref.values, atol=1e-9)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_gradient_matches_finite_differences(p):
-    rng = np.random.default_rng(11)
-    grid = build_grid(2, 17)
-    u_d = named_field(grid, "sines", {"amplitude": 0.5})
-    prob = _problem(grid, p=p, u_d=u_d, g=Nonlinearity.power(2.0))
+@settings(max_examples=18, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 2), n=st.integers(4, 17), p=st.floats(1.5, 3.0),
+       g=st.one_of(st.tuples(st.just("power"), st.floats(1.0, 3.0)),
+                   st.tuples(st.just("linear"), st.floats(0.0, 5.0))),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, n=17, p=2.0, g=("power", 2.0), seed=11)
+@example(dim=2, n=17, p=3.0, g=("power", 2.0), seed=11)
+def test_gradient_matches_finite_differences(dim, n, p, g, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(dim, n)
+    kind, value = g
+    nonlin = Nonlinearity.power(value) if kind == "power" else Nonlinearity.linear(value)
+    prob = _problem(grid, p=p, u_d=named_field(grid, "sines", {"amplitude": 0.5}),
+                    g=nonlin)
     c = rng.uniform(0.0, 0.5, grid.total_interior)
-    m = _density_measure(grid, c)
-    phi = adjoint_gradient(prob, m)
+    phi = adjoint_gradient(prob, _density_measure(grid, c))
 
     direction = rng.standard_normal(grid.total_interior)
     direction /= float(np.abs(direction).max())
     eps = 1e-6
-    up = evaluate_cost(_problem(grid, p=p, u_d=u_d),
-                       _density_measure(grid, c + eps * direction))
-    dn = evaluate_cost(_problem(grid, p=p, u_d=u_d),
-                       _density_measure(grid, c - eps * direction))
-    # subtract the exactly-known tv part to isolate the misfit slope
-    tv_up = 0.5 * float(np.abs(c + eps * direction).sum()) * grid.cell_volume
-    tv_dn = 0.5 * float(np.abs(c - eps * direction).sum()) * grid.cell_volume
-    fd = ((up - tv_up) - (dn - tv_dn)) / (2.0 * eps)
+
+    def misfit(values):
+        u, _ = solve_semilinear(grid, nonlin, _density_measure(grid, values))
+        return prob.misfit(u.values)
+
+    fd = (misfit(c + eps * direction) - misfit(c - eps * direction)) / (2.0 * eps)
     pairing = float(phi.values @ direction) * grid.cell_volume
     assert fd == pytest.approx(pairing, rel=1e-5)
 
@@ -222,8 +242,28 @@ def test_optimize_contracts():
     assert all(b < a for a, b in zip(f_vals, f_vals[1:]))
     assert res.F_value <= res.f_zero + 1e-12
     assert tv_norm(res.mu_star) <= res.f_zero / prob.alpha + 1e-9
-    assert res.F_value == pytest.approx(
-        evaluate_cost(prob, res.mu_star), rel=1e-9)
+    assert res.F_value == evaluate_cost(prob, res.mu_star)
+
+
+def test_optimize_f_value_is_evaluate_cost():
+    # optimize and evaluate_cost share ControlProblem.cost, so the reported
+    # F must be the recomputed F to the last bit, for every misfit exponent
+    grid = build_grid(2, 9)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        u_d = named_field(grid, "sines", {"amplitude": float(rng.uniform(0.2, 1.0))})
+        for p in (1.0, 2.0, 3.0, math.inf):
+            prob = _problem(grid, p=p, alpha=0.05, u_d=u_d)
+            res = optimize(prob, OptimizeConfig(max_iter=15))
+            assert res.F_value == evaluate_cost(prob, res.mu_star), (seed, p)
+
+
+def test_optimize_config_fields():
+    # the line search is fixed; out-of-range and mistyped values are
+    # rejected through the CLI tests
+    assert [f.name for f in dataclasses.fields(OptimizeConfig)] == [
+        "max_iter", "initial_control"]
+    assert OptimizeConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_optimize_recovers_planted_sparse_control():
