@@ -16,8 +16,7 @@ from .grid import (Grid, ScalarField, build_grid, constant_field,
                    interpolate_to, load_field, lp_norm, named_field,
                    neg_laplacian_apply, save_field, w11_norm, zeros_field)
 from .measures import (DiscreteMeasure, MollifierSequence, bump_kernel,
-                       describe, jordan_decompose, load_measure, mollify,
-                       negate, newtonian_potential, rasterize, save_measure,
+                       describe, jordan_decompose, mollify, negate, rasterize,
                        scale, tv_norm, weak_star_pairing)
 from .nonlinearity import Nonlinearity, nonlinearity_from_config
 from .solver import (ConvergenceError, LevelRecord, ReducedLimitResult,
@@ -38,8 +37,7 @@ __all__ = [
     "load_field", "lp_norm", "named_field", "neg_laplacian_apply",
     "save_field", "w11_norm", "zeros_field",
     "DiscreteMeasure", "MollifierSequence", "bump_kernel", "describe",
-    "jordan_decompose", "load_measure", "mollify", "negate",
-    "newtonian_potential", "rasterize", "save_measure", "scale",
+    "jordan_decompose", "mollify", "negate", "rasterize", "scale",
     "tv_norm", "weak_star_pairing",
     "Nonlinearity", "nonlinearity_from_config",
     "ConvergenceError", "LevelRecord", "ReducedLimitResult", "SolveReport",

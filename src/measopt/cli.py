@@ -134,7 +134,7 @@ def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
 def _problem_parts(path):
     base = Path(path).parent
     doc = _load_doc(path)
-    grid = build_grid(int(doc["grid"]["dim"]), int(doc["grid"]["n"]))
+    grid = build_grid(doc["grid"]["dim"], doc["grid"]["n"])
     g = nonlinearity_from_config(doc["g"])
     return doc, grid, g, base
 

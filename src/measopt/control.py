@@ -100,20 +100,18 @@ class OptimizeConfig:
             raise ValueError(f"invalid config: max_iter must be >= 0, got {self.max_iter!r}")
 
 
-def _solve_state(prob: ControlProblem, m: DiscreteMeasure,
-                 tol: float = DEFAULT_TOL) -> ScalarField:
+def _solve_state(prob: ControlProblem, m: DiscreteMeasure) -> ScalarField:
     """The state of m; a failed solve leaves F(m) without a finite value."""
     try:
-        u, _ = solve_semilinear(prob.grid, prob.g, m, tol=tol)
+        u, _ = solve_semilinear(prob.grid, prob.g, m)
     except ConvergenceError as exc:
         raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
     return u
 
 
-def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure,
-                  tol: float = DEFAULT_TOL) -> float:
+def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure) -> float:
     """F(m) = misfit of the state plus alpha times the tv norm."""
-    return prob.cost(_solve_state(prob, m, tol).values, m)
+    return prob.cost(_solve_state(prob, m).values, m)
 
 
 def _smoothing_width(prob: ControlProblem) -> float:

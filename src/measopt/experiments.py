@@ -169,7 +169,6 @@ def _random_sines(grid, rng, amplitude: float) -> np.ndarray:
     "center": (0.5, 0.5, 0.5),
     "subcritical_q": 2.0,
     "ud": {"name": "zero"},
-    "tol": 1e-10,
 })
 def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
     """Shrinking mollifiers of a unit Dirac on 3-d grids, q at or above 3.
@@ -190,13 +189,11 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
     if any(not 1.0 <= p <= q for p in p_values):
         raise ValueError("invalid config: misfit exponents must lie in [1, q]")
     alpha = float(par["alpha"])
-    levels = [int(n) for n in par["levels"]]
-    grids = [build_grid(3, n) for n in levels]
+    grids = [build_grid(3, n) for n in par["levels"]]
     seq = MollifierSequence(tuple(par["center"]),
                             tuple(float(par["radius_factor"]) * g.h for g in grids))
     measures = [seq.measure(k, grids[k]) for k in range(len(grids))]
     ud_fields = [named_field(g, par["ud"]["name"], par["ud"]) for g in grids]
-    tol = float(par["tol"])
 
     assertions = []
     tables = []
@@ -204,7 +201,7 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
 
     def run_schedule(g_fun, tag):
         try:
-            return reduced_limit(grids, measures.__getitem__, g_fun, tol=tol), None
+            return reduced_limit(grids, measures.__getitem__, g_fun), None
         except ConvergenceError as exc:
             partial = getattr(exc, "trace", [])
             detail = f"{tag} schedule diverged at level {len(partial)}: {exc}"
@@ -327,7 +324,7 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
     if not 1.0 < p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
     theta = float(par["theta"])
-    grid = build_grid(int(par["dim"]), int(par["n"]))
+    grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(p)
     mu = DiscreteMeasure.from_density(constant_field(grid, float(par["amplitude"])))
     u_mu, _ = solve_semilinear(grid, g, mu, tol=1e-12)
@@ -366,10 +363,10 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     """
     par = spec.parameters
     instances = int(par["instances"])
-    dim = int(par["dim"])
     rng = np.random.default_rng(spec.seed)
-    lemma_grid = build_grid(dim, int(par["lemma_n"]))
-    trunc_grid = build_grid(dim, int(par["truncate_n"]))
+    lemma_grid = build_grid(par["dim"], par["lemma_n"])
+    trunc_grid = build_grid(par["dim"], par["truncate_n"])
+    dim = lemma_grid.dim
 
     lemma_inputs = []
     for _ in range(instances):
@@ -466,7 +463,7 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     """
     par = spec.parameters
     instances = int(par["instances"])
-    grid = build_grid(int(par["dim"]), int(par["n"]))
+    grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(float(par["q"]))
     p = float(par["p"])
     alpha = float(par["alpha"])
@@ -559,7 +556,6 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     "radius_start": 0.25,
     "radius_count": 5,
     "ud": {"name": "sines", "amplitude": 0.1, "waves": 1},
-    "tol": 1e-10,
 })
 def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     """F along mollifications of a box density converges to F at the box.
@@ -570,7 +566,7 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     value must agree with F(mu) within 2 percent.
     """
     par = spec.parameters
-    grid = build_grid(int(par["dim"]), int(par["n"]))
+    grid = build_grid(par["dim"], par["n"])
     p = float(par["p"])
     if not 1.0 <= p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
@@ -585,12 +581,12 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
 
     radii = np.geomspace(float(par["radius_start"]), 4.0 * grid.h,
                          int(par["radius_count"]))
-    f_target = evaluate_cost(prob, mu, tol=float(par["tol"]))
+    f_target = evaluate_cost(prob, mu)
     rows = []
     f_values = []
     for r in radii:
         m_r = DiscreteMeasure.from_density(mollify(mu, float(r), grid))
-        f_r = evaluate_cost(prob, m_r, tol=float(par["tol"]))
+        f_r = evaluate_cost(prob, m_r)
         f_values.append(f_r)
         rows.append([float(r), f_r, f_target, abs(f_r - f_target) / f_target])
     tables = [_write_csv(spec.output_dir / "mollification.csv",

@@ -67,10 +67,10 @@ class Grid:
 
 
 def build_grid(dim: int, n: int) -> Grid:
-    """Build a Grid; dim must be 1, 2 or 3 and n >= 1."""
-    if not isinstance(dim, (int, np.integer)) or dim not in (1, 2, 3):
+    """Build a Grid; dim must be 1, 2 or 3 and n >= 1, both integers (not bool)."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2, 3):
         raise ValueError(f"invalid grid config: dim must be in {{1,2,3}}, got {dim!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"invalid grid config: n must be a positive integer, got {n!r}")
     return Grid(int(dim), int(n))
 
@@ -157,17 +157,22 @@ def interpolate_to(f: ScalarField, fine: Grid) -> ScalarField:
 
     The implicit zero boundary is honored by padding before
     interpolating, so coarse values near the boundary blend toward 0.
+    Interpolation is separable: each axis blends the left and right
+    coarse neighbours of every fine node in turn.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     coarse = f.grid
     if fine.dim != coarse.dim:
         raise ValueError("grids must share a dimension")
-    pad = [(1, 1)] * coarse.dim
-    padded = np.pad(f.reshaped(), pad)
-    pts = np.concatenate(([0.0], coarse.axis_coords(), [1.0]))
-    interp = RegularGridInterpolator((pts,) * coarse.dim, padded, method="linear")
-    return ScalarField(fine, interp(fine.node_coords()))
+    out = np.pad(f.reshaped(), 1)
+    # fine node positions in units of the coarse spacing; padded index i
+    # sits at i * h_coarse, and fine nodes lie strictly inside (0, 1)
+    s = fine.axis_coords() * (coarse.n + 1)
+    left = np.floor(s).astype(np.intp)
+    t = s - left
+    for ax in range(coarse.dim):
+        w = t.reshape([-1 if k == ax else 1 for k in range(coarse.dim)])
+        out = (1.0 - w) * np.take(out, left, axis=ax) + w * np.take(out, left + 1, axis=ax)
+    return ScalarField(fine, out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ treated as mutually singular when computing the total variation.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _lp, save_field, load_field
+from .grid import Grid, ScalarField, _lp
 
 
 def _validate_location(x, dim: int) -> tuple:
@@ -270,71 +268,8 @@ class MollifierSequence:
 
 
 # ---------------------------------------------------------------------------
-# Newtonian potential (3-D only)
+# display
 # ---------------------------------------------------------------------------
-
-def newtonian_potential(m: DiscreteMeasure, x) -> float:
-    """Evaluate (1/(4 pi)) * integral d|m|(y) / |x - y| against the measure.
-
-    Only defined in dimension 3.  Atom terms use exact distances; the
-    density contributes a midpoint-quadrature sum.  Evaluation at an
-    atom location (or at a node carrying density) is singular.
-    """
-    if m.dim != 3:
-        raise ValueError(f"unsupported dimension: Newtonian potential needs dim=3, got {m.dim}")
-    pt = np.asarray(tuple(float(c) for c in x), dtype=np.float64)
-    if pt.shape != (3,):
-        raise ValueError("unsupported dimension: evaluation point must be 3-dimensional")
-    coef = 1.0 / (4.0 * math.pi)
-    total = 0.0
-    for loc, w in m.atoms:
-        d = float(np.linalg.norm(pt - np.asarray(loc)))
-        if d == 0.0:
-            raise ValueError(f"singular evaluation: point {tuple(pt)} coincides with an atom")
-        total += w / d
-    if m.density is not None:
-        coords = m.density.grid.node_coords()
-        d = np.linalg.norm(coords - pt, axis=1)
-        nz = m.density.values != 0.0
-        if np.any(d[nz] == 0.0):
-            raise ValueError("singular evaluation: point lies on a density-carrying node")
-        vol = m.density.grid.cell_volume
-        total += float((m.density.values[nz] / d[nz]).sum()) * vol
-    return coef * total
-
-
-# ---------------------------------------------------------------------------
-# serialization and display
-# ---------------------------------------------------------------------------
-
-def save_measure(m: DiscreteMeasure, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"schema": 1, "dim": m.dim,
-           "atoms": [{"x": list(loc), "w": w} for loc, w in m.atoms]}
-    if m.density is not None:
-        density_file = path.stem + "_density.f64"
-        save_field(m.density, path.parent / density_file)
-        doc["density_file"] = density_file
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_measure(path) -> DiscreteMeasure:
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        atoms = tuple((tuple(a["x"]), float(a["w"])) for a in doc.get("atoms", ()))
-        dim = int(doc["dim"]) if "dim" in doc else len(atoms[0][0])
-    except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"invalid measure file {path}: {exc}") from exc
-    density = None
-    if doc.get("density_file"):
-        density = load_field(path.parent / doc["density_file"])
-    return DiscreteMeasure(dim, atoms=atoms, density=density)
-
 
 def describe(m: DiscreteMeasure) -> str:
     """One-paragraph human-readable summary of a measure."""

@@ -2,8 +2,8 @@
 
 Every linear system (-Lap_h + diag(d)) x = b, d >= 0, takes one path:
 conjugate gradients preconditioned by the sine-transform solve with a
-constant shift (``kernels.cg_shifted``).  A sparse-direct solve is kept
-only as the reference that tests compare against.  The semilinear
+constant shift (``kernels.cg_shifted``).  The sparse-direct reference
+that tests compare against lives in ``tests/_oracle.py``.  The semilinear
 problem uses damped Newton steps with an Armijo backtracking line
 search on the discrete energy
 
@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import kernels
 from .grid import Grid, ScalarField, _lp
@@ -33,6 +31,17 @@ DEFAULT_TOL = 1e-10
 CG_RTOL = 1e-12
 NEWTON_MAX = 100
 ADMISSIBILITY_TOL = 1e-8    # slack for sub/supersolution sign checks
+
+
+def __getattr__(name):
+    # The benchmark reads ``solver.spla`` (perfbench/tracing.py wraps its
+    # ``splu`` in traced runs).  scipy is imported only when that name is
+    # read, so importing the package never loads it.  This goes away with
+    # the other perfbench shims (ROADMAP item 1).
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -68,17 +77,6 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, x0=None):
             f"no convergence: cg stalled at weighted-L1 residual {res_l1:.3e}",
             report=SolveReport(iters, res_l1, False, 0.0, method="cg"))
     return x, iters
-
-
-def _solve_direct(grid: Grid, diag, rhs):
-    """Sparse-direct solve of (-Lap_h + diag) x = rhs, the reference for tests."""
-    e = np.ones(grid.n)
-    a1 = sp.diags([-e[:-1], 2.0 * e, -e[:-1]], [-1, 0, 1]) / grid.h ** 2
-    a = a1
-    for _ in range(grid.dim - 1):  # Kronecker sum, last index fastest
-        a = sp.kron(a, sp.identity(grid.n)) + sp.kron(sp.identity(a.shape[0]), a1)
-    a = a + sp.diags(np.broadcast_to(np.asarray(diag, dtype=np.float64), (a.shape[0],)))
-    return spla.splu(sp.csc_matrix(a)).solve(rhs)
 
 
 def _neg_lap(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -368,8 +366,7 @@ class ReducedLimitResult:
     states: list = field(default_factory=list)
 
 
-def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
-                  tol: float = DEFAULT_TOL) -> ReducedLimitResult:
+def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity) -> ReducedLimitResult:
     """Solve along a coupled grid/measure refinement schedule.
 
     Each level k solves -Lap u_k + g(u_k) = measure_schedule(k) on
@@ -394,7 +391,7 @@ def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity,
     for k, grid in enumerate(grids):
         mu = measure_schedule(k)
         try:
-            u, report = solve_semilinear(grid, g, mu, tol=tol)
+            u, report = solve_semilinear(grid, g, mu)
         except ConvergenceError as exc:
             exc.trace = trace
             raise

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,16 @@ def test_solve_rejects_mismatched_density_grid(tmp_path, capsys):
     path = _write_problem(tmp_path, doc)
     assert run_cli(["solve", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("n", 31.7), ("n", True), ("n", "9"),
+                                       ("dim", 2.0), ("dim", True)])
+def test_solve_rejects_non_integer_grid(tmp_path, capsys, key, value):
+    doc = dict(PROBLEM, grid={**PROBLEM["grid"], key: value})
+    path = _write_problem(tmp_path, doc)
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_problem_file(tmp_path, capsys):
@@ -217,9 +230,51 @@ def test_experiment_config_unknown_key_exits_two(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+GRID_OVERRIDES = [
+    ("exp_dirac_collapse", {"levels": [15, 31.5]}),
+    ("exp_nonconvexity", {"n": "9"}),
+    ("exp_truncation_suite", {"lemma_n": True}),
+    ("exp_regularity_suite", {"dim": 2.0}),
+    ("exp_mollification_stability", {"n": 9.9}),
+]
+
+
+@pytest.mark.parametrize("name,overrides", GRID_OVERRIDES,
+                         ids=[name for name, _ in GRID_OVERRIDES])
+def test_experiment_rejects_non_integer_grid_override(tmp_path, capsys, name, overrides):
+    cfg = tmp_path / "cfg.json"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(overrides, fh)
+    assert run_cli(["experiment", name, "--config", str(cfg),
+                    "--out", str(tmp_path / "exp")]) == 2
+    assert "invalid grid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["exp_dirac_collapse", "exp_mollification_stability"])
+def test_experiment_tol_override_is_unknown(tmp_path, capsys, name):
+    # both experiments solve at solver.DEFAULT_TOL; tol is not a parameter
+    cfg = tmp_path / "cfg.json"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({"tol": 1e-10}, fh)
+    assert run_cli(["experiment", name, "--config", str(cfg),
+                    "--out", str(tmp_path / "exp")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown parameter" in err and "tol" in err
+
+
 def test_run_experiment_rejects_unknown_parameter(tmp_path):
     with pytest.raises(ValueError, match="bogus"):
         run_experiment("exp_truncation_suite", {"bogus": 1}, output_dir=tmp_path)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy belongs to the tests
+    env = dict(os.environ, PYTHONPATH=str(Path(measopt.__file__).resolve().parents[1]))
+    code = ("import sys, measopt; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("measopt") is None,

@@ -5,9 +5,8 @@ import pytest
 
 from measopt import (DiscreteMeasure, MollifierSequence, ScalarField,
                      build_grid, bump_kernel, constant_field, describe,
-                     jordan_decompose, load_measure, lp_norm, mollify, negate,
-                     newtonian_potential, rasterize, save_measure, scale,
-                     tv_norm, weak_star_pairing, zeros_field)
+                     jordan_decompose, lp_norm, mollify, negate, rasterize,
+                     scale, tv_norm, weak_star_pairing, zeros_field)
 
 
 def _random_measure(rng, grid, n_atoms=3):
@@ -219,54 +218,6 @@ def test_mollifier_pairing_converges_to_point_value():
     errs = [abs(weak_star_pairing(seq.measure(k, g), phi) - 1.0) for k in range(3)]
     assert errs[2] < errs[0]
     assert errs[2] < 0.02
-
-
-def test_newtonian_potential_examples():
-    m = DiscreteMeasure.point((0.5, 0.5, 0.5), 1.0)
-    v = newtonian_potential(m, (1.5, 0.5, 0.5))
-    assert v == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-    # linearity over atoms
-    m2 = DiscreteMeasure.from_atoms(
-        3, [((0.5, 0.5, 0.5), 1.0), ((0.25, 0.5, 0.5), 2.0)])
-    v2 = newtonian_potential(m2, (1.5, 0.5, 0.5))
-    assert v2 == pytest.approx(v + 2.0 / (4.0 * math.pi * 1.25), rel=1e-13)
-    assert newtonian_potential(DiscreteMeasure.zero(3), (2.0, 2.0, 2.0)) == 0.0
-
-
-def test_newtonian_potential_errors():
-    with pytest.raises(ValueError):
-        newtonian_potential(DiscreteMeasure.point((0.5, 0.5), 1.0), (1.0, 1.0))
-    m = DiscreteMeasure.point((0.5, 0.5, 0.5), 1.0)
-    with pytest.raises(ValueError):
-        newtonian_potential(m, (0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        newtonian_potential(m, (0.5, 0.5))
-
-
-def test_newtonian_decay_with_distance():
-    m = DiscreteMeasure.point((0.5, 0.5, 0.5), 1.0)
-    vals = [newtonian_potential(m, (0.5 + r, 0.5, 0.5)) for r in (1.0, 2.0, 4.0)]
-    assert vals[0] > vals[1] > vals[2] > 0.0
-
-
-def test_measure_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(37)
-    g = build_grid(2, 5)
-    m = _random_measure(rng, g, n_atoms=2)
-    path = tmp_path / "m.json"
-    save_measure(m, path)
-    back = load_measure(path)
-    assert back.dim == m.dim
-    assert back.atoms == m.atoms
-    np.testing.assert_array_equal(back.density.values, m.density.values)
-    atoms_only = DiscreteMeasure.point((0.5,), -2.0)
-    save_measure(atoms_only, tmp_path / "a.json")
-    assert load_measure(tmp_path / "a.json") == atoms_only
-    with pytest.raises(ValueError):
-        load_measure(tmp_path / "missing.json")
-    (tmp_path / "junk.json").write_text("{not json")
-    with pytest.raises(ValueError):
-        load_measure(tmp_path / "junk.json")
 
 
 def test_describe_mentions_tv():

@@ -13,7 +13,9 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      solve_semilinear, truncate_max, truncate_min,
                      tv_norm, weak_star_pairing, zeros_field)
 from measopt.grid import neg_laplacian_apply
-from measopt.solver import _solve_direct, _solve_shifted
+from measopt.solver import _solve_shifted
+
+from _oracle import _solve_direct
 
 
 def _const_measure(grid, value):
