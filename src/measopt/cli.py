@@ -154,6 +154,7 @@ def _cmd_solve(args) -> int:
     save_field(u, out / "state.f64")
     with open(out / "solve_report.json", "w", encoding="utf-8") as fh:
         json.dump({"iterations": report.iterations,
+                   "inner_iterations": report.inner_iterations,
                    "final_residual": report.final_residual,
                    "converged": report.converged,
                    "method": report.method,

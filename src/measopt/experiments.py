@@ -129,6 +129,14 @@ def _finish(spec, assertions, tables, extras=None) -> ExperimentReport:
                             str(path), passed)
 
 
+def _count(par: dict, key: str) -> int:
+    """The positive integer parameter par[key]; floats, bools and strings are rejected."""
+    v = par[key]
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"invalid config: {key} must be a positive integer, got {v!r}")
+    return int(v)
+
+
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -362,7 +370,7 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     -1e-8; both slack populations are emitted as a histogram table.
     """
     par = spec.parameters
-    instances = int(par["instances"])
+    instances = _count(par, "instances")
     rng = np.random.default_rng(spec.seed)
     lemma_grid = build_grid(par["dim"], par["lemma_n"])
     trunc_grid = build_grid(par["dim"], par["truncate_n"])
@@ -462,12 +470,12 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     against s + beta.
     """
     par = spec.parameters
-    instances = int(par["instances"])
+    instances = _count(par, "instances")
     grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(float(par["q"]))
     p = float(par["p"])
     alpha = float(par["alpha"])
-    cfg = OptimizeConfig(max_iter=int(par["max_iter"]))
+    cfg = OptimizeConfig(max_iter=par["max_iter"])
     rng = np.random.default_rng(spec.seed)
 
     targets = []
@@ -580,7 +588,7 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     prob = ControlProblem(grid, g, u_d, p, float(par["alpha"]))
 
     radii = np.geomspace(float(par["radius_start"]), 4.0 * grid.h,
-                         int(par["radius_count"]))
+                         _count(par, "radius_count"))
     f_target = evaluate_cost(prob, mu)
     rows = []
     f_values = []

@@ -200,7 +200,7 @@ def load_field(path) -> ScalarField:
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        grid = build_grid(int(sidecar["dim"]), int(sidecar["n"]))
+        grid = build_grid(sidecar["dim"], sidecar["n"])
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid field sidecar for {path}: {exc}") from exc
     if path.suffix.lower() == ".csv":

@@ -200,15 +200,22 @@ class Nonlinearity:
                    label=label or "callable")
 
 
+_CONFIG_KEYS = {"power": {"q"}, "linear": {"lam"}, "zero": set(), "table": {"t", "g"}}
+
+
 def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
-    """Build a Nonlinearity from its JSON description {"kind": ..., ...}."""
+    """Build a Nonlinearity from {"kind": ..., ...}; each kind takes only its keys."""
     kind = cfg.get("kind")
+    if kind not in _CONFIG_KEYS:
+        raise ValueError(f"invalid config: unknown nonlinearity kind {kind!r}")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"invalid config: unknown key(s) for nonlinearity kind "
+                         f"{kind!r}: {unknown}")
     if kind == "power":
         return Nonlinearity.power(cfg.get("q", 2.0))
     if kind == "linear":
-        return Nonlinearity.linear(cfg.get("lam", cfg.get("lambda", 0.0)))
+        return Nonlinearity.linear(cfg.get("lam", 0.0))
     if kind == "zero":
         return Nonlinearity.zero()
-    if kind == "table":
-        return Nonlinearity.table(cfg["t"], cfg["g"])
-    raise ValueError(f"invalid config: unknown nonlinearity kind {kind!r}")
+    return Nonlinearity.table(cfg["t"], cfg["g"])

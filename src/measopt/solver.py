@@ -114,8 +114,10 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
                      tol: float = DEFAULT_TOL):
     """Solve -Lap_h u + g(u) = m by damped Newton iteration.
 
-    The initial iterate is the linear solution clipped to [-M, M] with
-    M the sup of the linear solve against |m|; steps are accepted by an
+    The initial iterate is the linear solution u0 of -Lap_h u0 = m, for
+    signed and nonnegative data alike.  It needs no clipping: -Lap_h is
+    an M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
+    semilinear solution obeys the same bound.  Steps are accepted by an
     Armijo test on the discrete energy, so the energy never increases.
     After the residual tolerance is reached one extra full step polishes
     the iterate to essentially machine accuracy, which the maximum
@@ -124,24 +126,11 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     t0 = time.perf_counter()
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
-    inner_total = 0
-
-    u0, inner = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
-    inner_total += inner
-    if np.any(rhs < 0.0):
-        abs_measure = _abs_measure(m)
-        cap_vals, inner = _solve_shifted(grid, 0.0, rasterize(abs_measure, grid).values,
-                                         atol_l1=min(tol, 1e-10))
-        inner_total += inner
-        cap = float(np.abs(cap_vals).max()) if cap_vals.size else 0.0
-    else:
-        cap = float(np.abs(u0).max()) if u0.size else 0.0
-    u = np.clip(u0, -cap, cap)
+    u, inner_total = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
 
     lap_u, energy = _energy_parts(grid, g, rhs, u)
     newton_its = 0
     polished = False
-    residual = math.inf
     for _ in range(NEWTON_MAX):
         res_vec = lap_u + np.asarray(g(u)) - rhs
         residual = float(np.abs(res_vec).sum()) * hd
@@ -193,8 +182,6 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         energy = cand_energy
         newton_its += 1
         if polished and tau == 1.0:
-            res_vec = lap_u + np.asarray(g(u)) - rhs
-            residual = float(np.abs(res_vec).sum()) * hd
             break
 
     res_vec = _neg_lap(grid, u) + np.asarray(g(u)) - rhs
@@ -208,14 +195,6 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             f"no convergence: newton residual {residual:.3e} > {tol:.1e} "
             f"after {newton_its} iterations", report=report, field=out)
     return out, report
-
-
-def _abs_measure(m: DiscreteMeasure) -> DiscreteMeasure:
-    density = None
-    if m.density is not None:
-        density = ScalarField(m.density.grid, np.abs(m.density.values))
-    return DiscreteMeasure(m.dim, atoms=tuple((loc, abs(w)) for loc, w in m.atoms),
-                           density=density)
 
 
 def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,

@@ -61,11 +61,14 @@ def test_solve_writes_state_matching_direct_call(tmp_path, capsys):
     grid = build_grid(2, 9)
     m = DiscreteMeasure(2, atoms=(((0.5, 0.5), 1.0),),
                         density=constant_field(grid, 0.5))
-    u_direct, _ = solve_semilinear(grid, Nonlinearity.power(2.0), m)
+    u_direct, direct_report = solve_semilinear(grid, Nonlinearity.power(2.0), m)
     assert np.array_equal(u.values, u_direct.values)
 
     report = json.loads(open(out / "solve_report.json").read())
     assert report["converged"] is True
+    assert report["iterations"] == direct_report.iterations
+    assert report["inner_iterations"] == direct_report.inner_iterations > 0
+    assert "wall_time" not in report
     assert report["final_residual"] <= 1e-10
     # atom weight 1 plus the density mass 0.5 * 81 * h^2
     assert report["tv_mu"] == pytest.approx(1.0 + 0.405, rel=1e-12)
@@ -98,6 +101,29 @@ def test_solve_rejects_non_integer_grid(tmp_path, capsys, key, value):
     path = _write_problem(tmp_path, doc)
     assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sidecar,key", [({"dim": 2.0, "n": 9.9}, "dim"),
+                                         ({"dim": 2, "n": 9.9}, "n"),
+                                         ({"dim": True, "n": 81}, "dim"),
+                                         ({"dim": 2, "n": "9"}, "n")],
+                         ids=["dim=2.0,n=9.9", "n=9.9", "dim=True", "n='9'"])
+def test_solve_rejects_non_integer_field_sidecar(tmp_path, capsys, sidecar, key):
+    save_field(constant_field(build_grid(2, 9), 1.0), tmp_path / "dens.f64")
+    (tmp_path / "dens.f64.json").write_text(json.dumps(sidecar))
+    doc = dict(PROBLEM, measure={"density_file": "dens.f64"})
+    path = _write_problem(tmp_path, doc)
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid field sidecar" in err and f"{key} must be" in err
+
+
+def test_solve_rejects_unknown_nonlinearity_key(tmp_path, capsys):
+    # a misspelt exponent used to run silently with the default q = 2
+    path = _write_problem(tmp_path, dict(PROBLEM, g={"kind": "power", "Q": 3}))
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "'Q'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -230,24 +256,37 @@ def test_experiment_config_unknown_key_exits_two(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
-GRID_OVERRIDES = [
-    ("exp_dirac_collapse", {"levels": [15, 31.5]}),
-    ("exp_nonconvexity", {"n": "9"}),
-    ("exp_truncation_suite", {"lemma_n": True}),
-    ("exp_regularity_suite", {"dim": 2.0}),
-    ("exp_mollification_stability", {"n": 9.9}),
+# (experiment, overrides, text that stderr must contain, test id)
+INTEGER_OVERRIDES = [
+    ("exp_dirac_collapse", {"levels": [15, 31.5]}, "invalid grid config", None),
+    ("exp_nonconvexity", {"n": "9"}, "invalid grid config", None),
+    ("exp_truncation_suite", {"lemma_n": True}, "invalid grid config", None),
+    ("exp_regularity_suite", {"dim": 2.0}, "invalid grid config", None),
+    ("exp_mollification_stability", {"n": 9.9}, "invalid grid config", None),
+    ("exp_truncation_suite", {"instances": 2.7}, "instances must be", "instances=2.7"),
+    ("exp_truncation_suite", {"instances": True}, "instances must be", "instances=True"),
+    ("exp_regularity_suite", {"instances": "3"}, "instances must be", "instances='3'"),
+    ("exp_regularity_suite", {"max_iter": 2.5}, "max_iter must be", "max_iter=2.5"),
+    ("exp_regularity_suite", {"max_iter": False}, "max_iter must be", "max_iter=False"),
+    ("exp_mollification_stability", {"radius_count": 3.9}, "radius_count must be",
+     "radius_count=3.9"),
+    ("exp_mollification_stability", {"radius_count": "5"}, "radius_count must be",
+     "radius_count='5'"),
 ]
 
 
-@pytest.mark.parametrize("name,overrides", GRID_OVERRIDES,
-                         ids=[name for name, _ in GRID_OVERRIDES])
-def test_experiment_rejects_non_integer_grid_override(tmp_path, capsys, name, overrides):
+@pytest.mark.parametrize("name,overrides,message", [case[:3] for case in INTEGER_OVERRIDES],
+                         ids=[name if extra is None else f"{name}-{extra}"
+                              for name, _, _, extra in INTEGER_OVERRIDES])
+def test_experiment_rejects_non_integer_grid_override(tmp_path, capsys, name, overrides,
+                                                      message):
+    # grid sizes, instance counts, max_iter and radius_count must be integers
     cfg = tmp_path / "cfg.json"
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump(overrides, fh)
     assert run_cli(["experiment", name, "--config", str(cfg),
                     "--out", str(tmp_path / "exp")]) == 2
-    assert "invalid grid config" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["exp_dirac_collapse", "exp_mollification_stability"])

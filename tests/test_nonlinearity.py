@@ -144,3 +144,11 @@ def test_from_config():
     assert float(tab(0.5)) == 0.5
     with pytest.raises(ValueError):
         nonlinearity_from_config({"kind": "cubic-spline"})
+    # each kind takes only its own keys; "lam" is the only spelling of the slope
+    for cfg, key in [({"kind": "power", "Q": 3}, "Q"),
+                     ({"kind": "power", "q": 3, "lam": 1.0}, "lam"),
+                     ({"kind": "linear", "lambda": 2.0}, "lambda"),
+                     ({"kind": "zero", "q": 2.0}, "q"),
+                     ({"kind": "table", "t": [-1, 0, 1], "g": [-1, 0, 1], "q": 2}, "q")]:
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            nonlinearity_from_config(cfg)

@@ -12,6 +12,7 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      solve_by_sub_supersolution, solve_linear,
                      solve_semilinear, truncate_max, truncate_min,
                      tv_norm, weak_star_pairing, zeros_field)
+import measopt.solver
 from measopt.grid import neg_laplacian_apply
 from measopt.solver import _solve_shifted
 
@@ -199,14 +200,119 @@ def test_energy_never_increases_from_initial_iterate():
     rng = np.random.default_rng(19)
     grid = build_grid(2, 9)
     g = Nonlinearity.power(3.0)
-    dens = ScalarField(grid, rng.uniform(0.0, 4.0, grid.total_interior))
-    m = DiscreteMeasure.from_density(dens)
-    rhs = rasterize(m, grid).values
-    u0, _ = solve_linear(grid, m)  # the nonneg-data initial iterate
+    for lo in (0.0, -4.0):  # nonnegative and signed data
+        dens = ScalarField(grid, rng.uniform(lo, 4.0, grid.total_interior))
+        m = DiscreteMeasure.from_density(dens)
+        rhs = rasterize(m, grid).values
+        u0, _ = solve_linear(grid, m)  # the initial iterate for every datum
+        u, _ = solve_semilinear(grid, g, m)
+        e0 = _energy(grid, g, rhs, u0.values)
+        e1 = _energy(grid, g, rhs, u.values)
+        assert e1 <= e0 + 1e-10 * (1.0 + abs(e0))
+
+
+def test_semilinear_makes_one_cold_start(monkeypatch):
+    # one linear solve (zero shift) before the Newton loop, whatever the
+    # sign of the datum, then one shifted solve per Newton step; a final
+    # polishing step that cannot improve at rounding level is solved but
+    # not counted as an iteration
+    calls = []
+
+    def counting(grid, diag, *args, **kwargs):
+        calls.append(diag)
+        return _solve_shifted(grid, diag, *args, **kwargs)
+
+    monkeypatch.setattr(measopt.solver, "_solve_shifted", counting)
+    rng = np.random.default_rng(29)
+    grid = build_grid(2, 13)
+    g = Nonlinearity.power(2.0)
+    signed = _random_signed_measure(rng, grid, scale=2.0)
+    nonneg = DiscreteMeasure.from_density(
+        ScalarField(grid, rng.uniform(0.0, 4.0, grid.total_interior)))
+    for m in (signed, nonneg):
+        calls.clear()
+        _, report = solve_semilinear(grid, g, m)
+        assert report.converged
+        assert [np.ndim(d) for d in calls].count(0) == 1 and calls[0] == 0.0
+        assert report.iterations + 1 <= len(calls) <= report.iterations + 2
+
+
+# ---------------------------------------------------------------------------
+# randomized maximum and comparison principles
+# ---------------------------------------------------------------------------
+
+def _abs_measure(m):
+    density = None if m.density is None else ScalarField(m.density.grid,
+                                                         np.abs(m.density.values))
+    return DiscreteMeasure(m.dim, atoms=tuple((loc, abs(w)) for loc, w in m.atoms),
+                           density=density)
+
+
+def _draw_measure(draw, rng, grid, nonnegative):
+    """Up to three atoms plus a density, with signed or nonnegative weights."""
+    scale = draw(st.floats(0.1, 10.0))
+    count = draw(st.integers(0, 3))
+    weights = rng.uniform(0.0, 1.0, count) if nonnegative else rng.normal(size=count)
+    atoms = tuple((tuple(rng.uniform(0.05, 0.95, grid.dim)), scale * float(w))
+                  for w in weights)
+    values = (rng.uniform(0.0, 1.0, grid.total_interior) if nonnegative
+              else rng.standard_normal(grid.total_interior))
+    return DiscreteMeasure(grid.dim, atoms=atoms,
+                           density=ScalarField(grid, scale * values))
+
+
+@st.composite
+def _nonlinearities(draw):
+    kind = draw(st.sampled_from(["power", "linear", "table"]))
+    if kind == "power":
+        return Nonlinearity.power(draw(st.floats(1.0, 4.0)))
+    if kind == "linear":
+        return Nonlinearity.linear(draw(st.floats(0.0, 5.0)))
+    # kinks at random breakpoints around 0, flat segments included
+    left = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
+    right = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
+    ts = np.concatenate((-np.cumsum(left)[::-1], [0.0], np.cumsum(right)))
+    slopes = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+                           min_size=ts.size - 1, max_size=ts.size - 1))
+    gs = np.concatenate(([0.0], np.cumsum(np.diff(ts) * slopes)))
+    return Nonlinearity.table(ts, gs - gs[len(left)])
+
+
+@st.composite
+def _principle_cases(draw):
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(1, {1: 30, 2: 12, 3: 6}[dim])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = _draw_measure(draw, rng, grid, nonnegative=False)
+    bump = _draw_measure(draw, rng, grid, nonnegative=True)
+    return grid, draw(_nonlinearities()), m, bump
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_principle_cases())
+def test_linear_envelope_bounds_states_random(case):
+    # -Lap_h is an M-matrix: v = (-Lap_h)^-1 |m| bounds |(-Lap_h)^-1 m|,
+    # and with g nondecreasing, g(0) = 0, it bounds the semilinear state
+    grid, g, m, _ = case
+    v, _ = solve_linear(grid, _abs_measure(m))
+    u_lin, _ = solve_linear(grid, m)
     u, _ = solve_semilinear(grid, g, m)
-    e0 = _energy(grid, g, rhs, u0.values)
-    e1 = _energy(grid, g, rhs, u.values)
-    assert e1 <= e0 + 1e-10 * (1.0 + abs(e0))
+    slack = 1e-10 * (1.0 + float(v.values.max()))
+    assert np.all(np.abs(u_lin.values) <= v.values + slack)
+    assert np.all(np.abs(u.values) <= v.values + slack)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_principle_cases())
+def test_comparison_principle_random(case):
+    # m1 <= m2 = m1 + (a nonnegative measure) gives u1 <= u2
+    grid, g, m1, bump = case
+    m2 = DiscreteMeasure(grid.dim, atoms=m1.atoms + bump.atoms,
+                         density=ScalarField(grid, m1.density.values + bump.density.values))
+    u1, _ = solve_semilinear(grid, g, m1)
+    u2, _ = solve_semilinear(grid, g, m2)
+    slack = 1e-10 * (1.0 + float(np.abs(u1.values).max() + np.abs(u2.values).max()))
+    assert np.all(u1.values <= u2.values + slack)
 
 
 def test_semilinear_reaches_machine_residual():
