@@ -98,11 +98,20 @@ def _load_doc(path) -> dict:
     return doc
 
 
-def _parse_p(value) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ValueError(f"invalid exponent spec {value!r}")
+def _real(value, key: str, positive: bool = False, allow_inf: bool = False) -> float:
+    """A JSON number as a float, else a ValueError naming key.
+
+    Bools, strings and NaN are never numbers here.  positive requires
+    value > 0; allow_inf admits infinity, also spelled "inf" or "infinity".
+    """
+    if allow_inf and isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or math.isnan(value) or (math.isinf(value) and not allow_inf)
+            or (positive and not value > 0.0)):
+        kind = 'a real or "inf"' if allow_inf else "a finite real"
+        raise ValueError(f"invalid problem file: {key} must be {kind}"
+                         f"{' > 0' if positive else ''}, got {value!r}")
     return float(value)
 
 
@@ -120,7 +129,7 @@ def _parse_field(doc, grid, base: Path):
 def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
     if not isinstance(doc, dict):
         raise ValueError("measure spec must be an object")
-    atoms = tuple((tuple(a["x"]), float(a["w"])) for a in doc.get("atoms", []))
+    atoms = tuple((tuple(a["x"]), _real(a["w"], "w")) for a in doc.get("atoms", []))
     density = None
     if "density_file" in doc:
         density = load_field(base / doc["density_file"])
@@ -146,7 +155,7 @@ def _problem_parts(path):
 def _cmd_solve(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
     m = _parse_measure(doc.get("measure", {}), grid, base)
-    tol = float(doc.get("tol", 1e-10))
+    tol = _real(doc.get("tol", 1e-10), "tol", positive=True)
     print(describe(m))
     u, report = solve_semilinear(grid, g, m, tol=tol)
     out = Path(args.out)
@@ -168,8 +177,8 @@ def _cmd_solve(args) -> int:
 def _cmd_optimize(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
     u_d = _parse_field(doc.get("u_d", {"name": "zero"}), grid, base)
-    prob = ControlProblem(grid, g, u_d, _parse_p(doc.get("p", 2.0)),
-                          float(doc["alpha"]))
+    prob = ControlProblem(grid, g, u_d, _real(doc.get("p", 2.0), "p", allow_inf=True),
+                          _real(doc["alpha"], "alpha"))
     opt = doc.get("optimizer", {})
     allowed = {f.name for f in dataclasses.fields(OptimizeConfig)} - {"initial_control"}
     bad = set(opt) - allowed

@@ -17,7 +17,6 @@ norm, matching the measure-space reading of the right-hand side.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +48,6 @@ class SolveReport:
     iterations: int
     final_residual: float
     converged: bool
-    wall_time: float
     method: str = "newton"
     inner_iterations: int = 0
 
@@ -75,7 +73,7 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, x0=None):
     if not converged:
         raise ConvergenceError(
             f"no convergence: cg stalled at weighted-L1 residual {res_l1:.3e}",
-            report=SolveReport(iters, res_l1, False, 0.0, method="cg"))
+            report=SolveReport(iters, res_l1, False, method="cg"))
     return x, iters
 
 
@@ -91,12 +89,10 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     (ScalarField, SolveReport); the report residual is the weighted-L1
     norm of -Lap_h u - rasterize(m).
     """
-    t0 = time.perf_counter()
     rhs = rasterize(m, grid).values
     x, inner = _solve_shifted(grid, 0.0, rhs, atol_l1=tol)
     res = _lp(_neg_lap(grid, x) - rhs, 1.0, grid)
-    report = SolveReport(1, res, res <= tol, time.perf_counter() - t0,
-                         method="cg", inner_iterations=inner)
+    report = SolveReport(1, res, res <= tol, method="cg", inner_iterations=inner)
     if not report.converged:
         raise ConvergenceError(f"no convergence: linear residual {res:.3e} > {tol:.1e}",
                                report=report, field=ScalarField(grid, x))
@@ -118,26 +114,24 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     signed and nonnegative data alike.  It needs no clipping: -Lap_h is
     an M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
     semilinear solution obeys the same bound.  Steps are accepted by an
-    Armijo test on the discrete energy, so the energy never increases.
-    After the residual tolerance is reached one extra full step polishes
-    the iterate to essentially machine accuracy, which the maximum
-    principle and gradient checks downstream rely on.
+    Armijo test on the discrete energy, so the energy never increases;
+    ``_energy_parts`` alone evaluates it, and the -Lap_h u it returns
+    feeds the next residual.  Once the residual reaches tol, one
+    polishing step follows: a single full step, never halved, kept if it
+    lowers the energy or the residual.  It pushes the iterate to
+    essentially machine accuracy, which the maximum principle and
+    gradient checks downstream rely on, and the iteration ends after it.
     """
-    t0 = time.perf_counter()
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
     u, inner_total = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
 
     lap_u, energy = _energy_parts(grid, g, rhs, u)
     newton_its = 0
-    polished = False
     for _ in range(NEWTON_MAX):
         res_vec = lap_u + np.asarray(g(u)) - rhs
         residual = float(np.abs(res_vec).sum()) * hd
-        if residual <= tol and polished:
-            break
-        if residual <= tol:
-            polished = True  # one more full step to push toward machine precision
+        polish = residual <= tol
         dg = np.asarray(g.derivative(u))
         if np.any(dg < -1e-12):
             raise ValueError("invalid nonlinearity: negative derivative detected during solve")
@@ -149,46 +143,34 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             exc.field = ScalarField(grid, u)
             raise
         inner_total += inner
-        lap_delta = _neg_lap(grid, delta)
-        # quadratic expansion of the Laplacian energy along the step
-        quad_ud = float(u @ lap_delta) * hd
-        quad_dd = float(delta @ lap_delta) * hd
-        lin_rhs = float(rhs @ delta) * hd
-        base_quad = 0.5 * float(u @ lap_u) * hd
-        rhs_u = float(rhs @ u) * hd
         slope = float(res_vec @ delta) * hd
         tau = 1.0
         accepted = False
         while tau >= 1e-12:
             cand = u + tau * delta
-            cand_energy = (base_quad + tau * quad_ud + 0.5 * tau * tau * quad_dd
-                           + float(g.primitive(cand).sum()) * hd - rhs_u
-                           - tau * lin_rhs)
+            lap_cand, cand_energy = _energy_parts(grid, g, rhs, cand)
             if cand_energy <= energy + 1e-4 * tau * slope:
                 accepted = True
                 break
             if tau == 1.0:
                 # near the fixed point the energy decrement drops below
                 # rounding; accept the full step on residual contraction
-                cand_res = lap_u + lap_delta + np.asarray(g(cand)) - rhs
+                cand_res = lap_cand + np.asarray(g(cand)) - rhs
                 if float(np.abs(cand_res).sum()) * hd < residual:
                     accepted = True
                     break
+                if polish:
+                    break
             tau *= 0.5
-        if not accepted:
-            break  # neither energy nor residual can improve; keep the iterate
-        u = u + tau * delta
-        lap_u = lap_u + tau * lap_delta
-        energy = cand_energy
-        newton_its += 1
-        if polished and tau == 1.0:
-            break
+        if accepted:
+            u, lap_u, energy = cand, lap_cand, cand_energy
+            newton_its += 1
+        if polish or not accepted:
+            break  # polished, or neither energy nor residual can improve
 
-    res_vec = _neg_lap(grid, u) + np.asarray(g(u)) - rhs
-    residual = float(np.abs(res_vec).sum()) * hd
+    residual = float(np.abs(lap_u + np.asarray(g(u)) - rhs).sum()) * hd
     report = SolveReport(newton_its, residual, residual <= tol,
-                         time.perf_counter() - t0, method="newton+cg",
-                         inner_iterations=inner_total)
+                         method="newton+cg", inner_iterations=inner_total)
     out = ScalarField(grid, u)
     if not report.converged:
         raise ConvergenceError(
@@ -206,7 +188,6 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     from the supersolution with lam >= max g' on the bracket; iterates
     decrease pointwise and stay above the subsolution.
     """
-    t0 = time.perf_counter()
     rhs = rasterize(m, grid).values
     lo, hi = lower.values, upper.values
     if np.any(lo > hi + 1e-12):
@@ -236,11 +217,11 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         res = _neg_lap(grid, u) + np.asarray(g(u)) - rhs
         residual = _lp(res, 1.0, grid)
         if residual <= tol:
-            report = SolveReport(it, residual, True, time.perf_counter() - t0,
-                                 method="monotone+cg", inner_iterations=inner_total)
+            report = SolveReport(it, residual, True, method="monotone+cg",
+                                 inner_iterations=inner_total)
             return ScalarField(grid, u), report
-    report = SolveReport(max_iter, residual, False, time.perf_counter() - t0,
-                         method="monotone+cg", inner_iterations=inner_total)
+    report = SolveReport(max_iter, residual, False, method="monotone+cg",
+                         inner_iterations=inner_total)
     raise ConvergenceError(f"no convergence: monotone iteration residual {residual:.3e}",
                            report=report, field=ScalarField(grid, u))
 

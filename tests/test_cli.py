@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -94,11 +95,27 @@ def test_solve_rejects_mismatched_density_grid(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _problem_with(key, value):
+    """PROBLEM with key set to value where a problem file keeps it."""
+    if key in PROBLEM["grid"]:
+        return dict(PROBLEM, grid={**PROBLEM["grid"], key: value})
+    if key == "w":
+        return dict(PROBLEM, measure={**PROBLEM["measure"],
+                                      "atoms": [{"x": [0.5, 0.5], "w": value}]})
+    if key in ("tol", "p", "alpha"):
+        return dict(PROBLEM, **{key: value})
+    return dict(PROBLEM, optimizer={key: value})
+
+
 @pytest.mark.parametrize("key,value", [("n", 31.7), ("n", True), ("n", "9"),
-                                       ("dim", 2.0), ("dim", True)])
+                                       ("dim", 2.0), ("dim", True),
+                                       ("tol", True), ("tol", 0), ("tol", -1.0),
+                                       ("tol", float("nan")), ("tol", float("inf")),
+                                       ("tol", "1e-10"),
+                                       ("w", True), ("w", "1.0"), ("w", float("nan"))])
 def test_solve_rejects_non_integer_grid(tmp_path, capsys, key, value):
-    doc = dict(PROBLEM, grid={**PROBLEM["grid"], key: value})
-    path = _write_problem(tmp_path, doc)
+    # grid sizes must be integers, tol a finite real > 0, atom weights finite reals
+    path = _write_problem(tmp_path, _problem_with(key, value))
     assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -186,17 +203,19 @@ BAD_OPTIMIZER_OPTIONS = [
     ("step_grow", 0.5), ("step_grow", float("inf")),
     ("f_rtol", -1e-9),
     ("eps_smooth", 0.0), ("eps_smooth", -1e-3),
+    ("p", True), ("p", "2"), ("p", float("nan")), ("p", 0.5),
+    ("alpha", True), ("alpha", "0.5"), ("alpha", float("nan")), ("alpha", float("inf")),
+    ("alpha", 0.0),
 ]
 
 
 @pytest.mark.parametrize("key,value", BAD_OPTIMIZER_OPTIONS,
                          ids=[f"{k}={v!r}" for k, v in BAD_OPTIMIZER_OPTIONS])
 def test_optimize_rejects_out_of_range_option(tmp_path, capsys, key, value):
-    doc = dict(PROBLEM)
-    doc["optimizer"] = {key: value}
-    path = _write_problem(tmp_path, doc)
+    # the optimizer object takes only max_iter; p and alpha are reals
+    path = _write_problem(tmp_path, _problem_with(key, value))
     assert run_cli(["optimize", str(path), "--out", str(tmp_path / "opt")]) == 2
-    assert key in capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 def test_optimize_unavailable_cost_exits_one(tmp_path, capsys, monkeypatch):

@@ -211,11 +211,25 @@ def test_energy_never_increases_from_initial_iterate():
         assert e1 <= e0 + 1e-10 * (1.0 + abs(e0))
 
 
+def _count_primitive_calls(monkeypatch):
+    calls = []
+    primitive = Nonlinearity.primitive
+
+    def counting(self, t):
+        calls.append(1)
+        return primitive(self, t)
+
+    monkeypatch.setattr(Nonlinearity, "primitive", counting)
+    return calls
+
+
 def test_semilinear_makes_one_cold_start(monkeypatch):
     # one linear solve (zero shift) before the Newton loop, whatever the
     # sign of the datum, then one shifted solve per Newton step; a final
     # polishing step that cannot improve at rounding level is solved but
-    # not counted as an iteration
+    # not counted as an iteration.  The energy is evaluated once at the
+    # initial iterate and once per trial step, and the polishing step is
+    # never halved, so a full-step solve makes at most iterations + 2
     calls = []
 
     def counting(grid, diag, *args, **kwargs):
@@ -223,6 +237,7 @@ def test_semilinear_makes_one_cold_start(monkeypatch):
         return _solve_shifted(grid, diag, *args, **kwargs)
 
     monkeypatch.setattr(measopt.solver, "_solve_shifted", counting)
+    primitive_calls = _count_primitive_calls(monkeypatch)
     rng = np.random.default_rng(29)
     grid = build_grid(2, 13)
     g = Nonlinearity.power(2.0)
@@ -231,10 +246,12 @@ def test_semilinear_makes_one_cold_start(monkeypatch):
         ScalarField(grid, rng.uniform(0.0, 4.0, grid.total_interior)))
     for m in (signed, nonneg):
         calls.clear()
+        primitive_calls.clear()
         _, report = solve_semilinear(grid, g, m)
         assert report.converged
         assert [np.ndim(d) for d in calls].count(0) == 1 and calls[0] == 0.0
         assert report.iterations + 1 <= len(calls) <= report.iterations + 2
+        assert len(primitive_calls) <= report.iterations + 2
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +332,16 @@ def test_comparison_principle_random(case):
     assert np.all(u1.values <= u2.values + slack)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_principle_cases())
+def test_absorption_bound_random(case):
+    # ||g(u)||_L1 <= ||mu||_M: testing the equation with sign(u) kills
+    # the Laplacian term, because -Lap_h is an M-matrix
+    grid, g, m, _ = case
+    u, _ = solve_semilinear(grid, g, m)
+    assert lp_norm(ScalarField(grid, np.asarray(g(u.values))), 1.0) <= tv_norm(m) + 1e-8
+
+
 def test_semilinear_reaches_machine_residual():
     grid = build_grid(2, 15)
     m = DiscreteMeasure.point((0.5, 0.5), 1.0)
@@ -355,7 +382,7 @@ def test_solver_rejects_decreasing_nonlinearity():
 # monotone sub/supersolution mode
 # ---------------------------------------------------------------------------
 
-def test_monotone_iteration_matches_newton():
+def test_monotone_iteration_matches_newton(monkeypatch):
     rng = np.random.default_rng(29)
     grid = build_grid(2, 9)
     g = Nonlinearity.power(2.0)
@@ -366,6 +393,20 @@ def test_monotone_iteration_matches_newton():
     u_mono, report = solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper)
     assert report.converged
     assert float(np.abs(u_mono.values - u_newton.values).max()) <= 1e-8
+
+    # a steep kink past the origin overshoots the full Newton step, so the
+    # line search must halve it: more energy trials than the initial one
+    # plus one per iteration
+    grid = build_grid(1, 9)
+    g = Nonlinearity.table([-1.0, 0.0, 0.1, 10.0], [-1.0, 0.0, 10.0, 10.5])
+    m = DiscreteMeasure.point((0.5,), 1.0)
+    primitive_calls = _count_primitive_calls(monkeypatch)
+    u_newton, newton = solve_semilinear(grid, g, m)
+    assert newton.converged and len(primitive_calls) > newton.iterations + 1
+    upper, _ = solve_linear(grid, m)
+    u_mono, report = solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper)
+    assert report.converged
+    assert float(np.abs(u_mono.values - u_newton.values).max()) <= 1e-12
 
 
 def test_monotone_iteration_fixed_point():
