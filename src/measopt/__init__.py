@@ -15,9 +15,9 @@ mollified point sources under supercritical absorption.
 from .grid import (Grid, ScalarField, build_grid, constant_field,
                    interpolate_to, load_field, lp_norm, named_field,
                    neg_laplacian_apply, save_field, w11_norm, zeros_field)
-from .measures import (DiscreteMeasure, MollifierSequence, bump_kernel,
-                       describe, jordan_decompose, mollify, negate, rasterize,
-                       scale, tv_norm, weak_star_pairing)
+from .measures import (DiscreteMeasure, bump_kernel, describe,
+                       jordan_decompose, mollify, negate, rasterize, scale,
+                       tv_norm, weak_star_pairing)
 from .nonlinearity import Nonlinearity, nonlinearity_from_config
 from .solver import (ConvergenceError, LevelRecord, ReducedLimitResult,
                      SolveReport, TruncationCheck, lemma_truncation_check,
@@ -36,9 +36,9 @@ __all__ = [
     "Grid", "ScalarField", "build_grid", "constant_field", "interpolate_to",
     "load_field", "lp_norm", "named_field", "neg_laplacian_apply",
     "save_field", "w11_norm", "zeros_field",
-    "DiscreteMeasure", "MollifierSequence", "bump_kernel", "describe",
-    "jordan_decompose", "mollify", "negate", "rasterize", "scale",
-    "tv_norm", "weak_star_pairing",
+    "DiscreteMeasure", "bump_kernel", "describe", "jordan_decompose",
+    "mollify", "negate", "rasterize", "scale", "tv_norm",
+    "weak_star_pairing",
     "Nonlinearity", "nonlinearity_from_config",
     "ConvergenceError", "LevelRecord", "ReducedLimitResult", "SolveReport",
     "TruncationCheck", "lemma_truncation_check", "reduced_limit",

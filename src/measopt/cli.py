@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
+from .checks import real
 from .control import ControlProblem, CostUnavailableError, OptimizeConfig
 from .control import optimize as optimize_problem
 from .experiments import list_experiments, run_experiment
@@ -98,23 +98,6 @@ def _load_doc(path) -> dict:
     return doc
 
 
-def _real(value, key: str, positive: bool = False, allow_inf: bool = False) -> float:
-    """A JSON number as a float, else a ValueError naming key.
-
-    Bools, strings and NaN are never numbers here.  positive requires
-    value > 0; allow_inf admits infinity, also spelled "inf" or "infinity".
-    """
-    if allow_inf and isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return math.inf
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or math.isnan(value) or (math.isinf(value) and not allow_inf)
-            or (positive and not value > 0.0)):
-        kind = 'a real or "inf"' if allow_inf else "a finite real"
-        raise ValueError(f"invalid problem file: {key} must be {kind}"
-                         f"{' > 0' if positive else ''}, got {value!r}")
-    return float(value)
-
-
 def _parse_field(doc, grid, base: Path):
     if not isinstance(doc, dict):
         raise ValueError("field spec must be an object")
@@ -129,7 +112,7 @@ def _parse_field(doc, grid, base: Path):
 def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
     if not isinstance(doc, dict):
         raise ValueError("measure spec must be an object")
-    atoms = tuple((tuple(a["x"]), _real(a["w"], "w")) for a in doc.get("atoms", []))
+    atoms = tuple((tuple(a["x"]), real(a["w"], "w")) for a in doc.get("atoms", []))
     density = None
     if "density_file" in doc:
         density = load_field(base / doc["density_file"])
@@ -155,7 +138,7 @@ def _problem_parts(path):
 def _cmd_solve(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
     m = _parse_measure(doc.get("measure", {}), grid, base)
-    tol = _real(doc.get("tol", 1e-10), "tol", positive=True)
+    tol = real(doc.get("tol", 1e-10), "tol", positive=True)
     print(describe(m))
     u, report = solve_semilinear(grid, g, m, tol=tol)
     out = Path(args.out)
@@ -177,8 +160,8 @@ def _cmd_solve(args) -> int:
 def _cmd_optimize(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
     u_d = _parse_field(doc.get("u_d", {"name": "zero"}), grid, base)
-    prob = ControlProblem(grid, g, u_d, _real(doc.get("p", 2.0), "p", allow_inf=True),
-                          _real(doc["alpha"], "alpha"))
+    prob = ControlProblem(grid, g, u_d, real(doc.get("p", 2.0), "p", allow_inf=True),
+                          real(doc["alpha"], "alpha"))
     opt = doc.get("optimizer", {})
     allowed = {f.name for f in dataclasses.fields(OptimizeConfig)} - {"initial_control"}
     bad = set(opt) - allowed

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import count, real
 from .control import (ControlProblem, OptimizeConfig, check_state_regularity,
                       evaluate_cost, optimize)
 from .grid import (ScalarField, build_grid, constant_field, named_field,
                    neg_laplacian_apply, _lp)
-from .measures import DiscreteMeasure, MollifierSequence, mollify, scale, tv_norm
+from .measures import DiscreteMeasure, mollify, scale, tv_norm
 from .nonlinearity import Nonlinearity
 from .solver import (ConvergenceError, lemma_truncation_check, reduced_limit,
                      residual_measure, solve_linear, solve_semilinear,
@@ -129,14 +130,6 @@ def _finish(spec, assertions, tables, extras=None) -> ExperimentReport:
                             str(path), passed)
 
 
-def _count(par: dict, key: str) -> int:
-    """The positive integer parameter par[key]; floats, bools and strings are rejected."""
-    v = par[key]
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValueError(f"invalid config: {key} must be a positive integer, got {v!r}")
-    return int(v)
-
-
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -190,17 +183,18 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
     checks that ||u_k||_L1 stabilizes at a positive value instead.
     """
     par = spec.parameters
-    q = float(par["q"])
+    q = real(par["q"], "q")
     if q < 3.0:
         raise ValueError(f"invalid config: q must be >= 3, got {q}")
-    p_values = [float(p) for p in par["p_values"]]
+    p_values = [real(p, "p_values") for p in par["p_values"]]
     if any(not 1.0 <= p <= q for p in p_values):
         raise ValueError("invalid config: misfit exponents must lie in [1, q]")
-    alpha = float(par["alpha"])
+    alpha = real(par["alpha"], "alpha")
     grids = [build_grid(3, n) for n in par["levels"]]
-    seq = MollifierSequence(tuple(par["center"]),
-                            tuple(float(par["radius_factor"]) * g.h for g in grids))
-    measures = [seq.measure(k, grids[k]) for k in range(len(grids))]
+    delta = DiscreteMeasure.point([real(c, "center") for c in par["center"]], 1.0)
+    radius_factor = real(par["radius_factor"], "radius_factor")
+    measures = [DiscreteMeasure.from_density(mollify(delta, radius_factor * g.h, g))
+                for g in grids]
     ud_fields = [named_field(g, par["ud"]["name"], par["ud"]) for g in grids]
 
     assertions = []
@@ -275,7 +269,7 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
         "tv-lower-semicontinuity", "relative 5%"))
     extras["u_l1_supercritical"] = u_l1
 
-    sub_q = float(par["subcritical_q"])
+    sub_q = real(par["subcritical_q"], "subcritical_q")
     sub, failure = run_schedule(Nonlinearity.power(sub_q), "subcritical")
     if failure is not None:
         assertions.append(failure)
@@ -322,7 +316,7 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
     the run reports a skip.
     """
     par = spec.parameters
-    p = float(par["p"])
+    p = real(par["p"], "p")
     if p == 1.0:
         row = AssertionRow("nonconvexity-strict-midpoint", "skip",
                            "p=1 makes g linear and F convex on this ray; "
@@ -331,12 +325,13 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
         return _finish(spec, [row], [])
     if not 1.0 < p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
-    theta = float(par["theta"])
+    theta = real(par["theta"], "theta")
+    alpha = real(par["alpha"], "alpha")
     grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(p)
-    mu = DiscreteMeasure.from_density(constant_field(grid, float(par["amplitude"])))
+    mu = DiscreteMeasure.from_density(constant_field(grid, real(par["amplitude"], "amplitude")))
     u_mu, _ = solve_semilinear(grid, g, mu, tol=1e-12)
-    prob = ControlProblem(grid, g, u_mu, p, float(par["alpha"]))
+    prob = ControlProblem(grid, g, u_mu, p, alpha)
     f_mu = evaluate_cost(prob, mu)
     f_theta = evaluate_cost(prob, scale(mu, theta))
     f_mid = evaluate_cost(prob, scale(mu, 0.5 * (1.0 + theta)))
@@ -370,7 +365,7 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     -1e-8; both slack populations are emitted as a histogram table.
     """
     par = spec.parameters
-    instances = _count(par, "instances")
+    instances = count(par["instances"], "instances")
     rng = np.random.default_rng(spec.seed)
     lemma_grid = build_grid(par["dim"], par["lemma_n"])
     trunc_grid = build_grid(par["dim"], par["truncate_n"])
@@ -470,11 +465,11 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     against s + beta.
     """
     par = spec.parameters
-    instances = _count(par, "instances")
+    instances = count(par["instances"], "instances")
     grid = build_grid(par["dim"], par["n"])
-    g = Nonlinearity.power(float(par["q"]))
-    p = float(par["p"])
-    alpha = float(par["alpha"])
+    g = Nonlinearity.power(real(par["q"], "q"))
+    p = real(par["p"], "p")
+    alpha = real(par["alpha"], "alpha")
     cfg = OptimizeConfig(max_iter=par["max_iter"])
     rng = np.random.default_rng(spec.seed)
 
@@ -575,20 +570,20 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     """
     par = spec.parameters
     grid = build_grid(par["dim"], par["n"])
-    p = float(par["p"])
+    p = real(par["p"], "p")
     if not 1.0 <= p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
     g = Nonlinearity.power(p) if p > 1.0 else Nonlinearity.linear(1.0)
-    lo, hi = (float(v) for v in par["box"])
+    lo, hi = (real(v, "box") for v in par["box"])
     coords = grid.node_coords()
     inside = np.all((coords >= lo) & (coords <= hi), axis=1)
-    dens = np.where(inside, float(par["box_amplitude"]), 0.0)
+    dens = np.where(inside, real(par["box_amplitude"], "box_amplitude"), 0.0)
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))
     u_d = named_field(grid, par["ud"]["name"], par["ud"])
-    prob = ControlProblem(grid, g, u_d, p, float(par["alpha"]))
+    prob = ControlProblem(grid, g, u_d, p, real(par["alpha"], "alpha"))
 
-    radii = np.geomspace(float(par["radius_start"]), 4.0 * grid.h,
-                         _count(par, "radius_count"))
+    radii = np.geomspace(real(par["radius_start"], "radius_start"), 4.0 * grid.h,
+                         count(par["radius_count"], "radius_count"))
     f_target = evaluate_cost(prob, mu)
     rows = []
     f_values = []

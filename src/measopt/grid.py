@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from .checks import count, real
 
 
 @dataclass(frozen=True)
@@ -214,28 +215,39 @@ def load_field(path) -> ScalarField:
 # named deterministic field generators (CLI / experiment targets)
 # ---------------------------------------------------------------------------
 
+_FIELD_KEYS = {"zero": (), "constant": ("value",), "sines": ("amplitude", "waves"),
+               "bump": ("amplitude", "center", "width")}
+
+
 def named_field(grid: Grid, name: str, params: dict | None = None) -> ScalarField:
     """Build one of the deterministic target fields by name.
 
-    Known names: ``zero``, ``constant`` (value), ``sines`` (amplitude,
-    waves) and ``bump`` (amplitude, center, width).
+    Known names and their keys: ``zero``, ``constant`` (value), ``sines``
+    (amplitude, waves) and ``bump`` (amplitude, center, width).  A
+    ``name`` key is ignored, so a whole field spec can be passed; any
+    other key, a non-real value or a non-positive-integer ``waves`` is a
+    ValueError.
     """
-    params = dict(params or {})
+    if name not in _FIELD_KEYS:
+        raise ValueError(f"unknown field generator {name!r}")
+    params = params or {}
+    unknown = sorted(set(params) - set(_FIELD_KEYS[name]) - {"name"})
+    if unknown:
+        raise ValueError(f"invalid config: unknown key(s) for field generator "
+                         f"{name!r}: {unknown}")
     if name == "zero":
         return zeros_field(grid)
     if name == "constant":
-        return constant_field(grid, params.get("value", 1.0))
+        return constant_field(grid, real(params.get("value", 1.0), "value"))
     coords = grid.node_coords()
+    amp = real(params.get("amplitude", 1.0), "amplitude")
     if name == "sines":
-        amp = float(params.get("amplitude", 1.0))
-        waves = int(params.get("waves", 1))
-        vals = amp * np.prod(np.sin(math.pi * waves * coords), axis=1)
-        return ScalarField(grid, vals)
-    if name == "bump":
-        amp = float(params.get("amplitude", 1.0))
-        center = params.get("center", (0.5,) * grid.dim)
-        width = float(params.get("width", 0.25))
-        d2 = ((coords - np.asarray(center, dtype=np.float64)) ** 2).sum(axis=1)
-        vals = amp * np.exp(-d2 / width ** 2)
-        return ScalarField(grid, vals)
-    raise ValueError(f"unknown field generator {name!r}")
+        waves = count(params.get("waves", 1), "waves")
+        return ScalarField(grid, amp * np.prod(np.sin(math.pi * waves * coords), axis=1))
+    center = params.get("center", (0.5,) * grid.dim)
+    if not isinstance(center, (list, tuple, np.ndarray)) or len(center) != grid.dim:
+        raise ValueError(f"invalid config: center must list {grid.dim} reals, got {center!r}")
+    center = [real(c, "center") for c in center]
+    width = real(params.get("width", 0.25), "width", positive=True)
+    d2 = ((coords - np.asarray(center)) ** 2).sum(axis=1)
+    return ScalarField(grid, amp * np.exp(-d2 / width ** 2))

@@ -89,11 +89,12 @@ def _sine_transform(a):
     return a
 
 
-def cg_shifted(b, diag, dim: int, n: int, h: float, x0,
+def cg_shifted(b, diag, dim: int, n: int, h: float,
                atol_l1: float, rtol: float, maxiter: int):
-    """Preconditioned conjugate gradients for (-Lap_h + diag(d)) x = b.
+    """Preconditioned conjugate gradients for (-Lap_h + diag(d)) x = b from x = 0.
 
-    The preconditioner is (-Lap_h + mean(d) I)^-1, applied exactly by
+    ``diag`` is a flat array or, for a constant shift, a 0-d one.  The
+    preconditioner is (-Lap_h + mean(d) I)^-1, applied exactly by
     the sine transform.  Stops when the quadrature-weighted L1 residual
     drops to ``atol_l1`` or the 2-norm residual falls below
     ``rtol * ||b||``.  The true residual is recomputed before accepting
@@ -112,8 +113,8 @@ def cg_shifted(b, diag, dim: int, n: int, h: float, x0,
         r_hat = _sine_transform(r.reshape(shape))
         return _sine_transform(r_hat * inv_eig).reshape(-1)
 
-    x = np.zeros(b.size) if x0 is None else x0.astype(np.float64, copy=True)
-    r = b - _apply_shifted(x, diag, dim, n, inv_h2)
+    x = np.zeros(b.size)
+    r = b.copy()
     bnorm = float(np.sqrt(b @ b))
     floor2 = rtol * bnorm
     res_l1 = hd * float(np.abs(r).sum())

@@ -232,41 +232,6 @@ def mollify(m: DiscreteMeasure, radius: float, grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-@dataclass(frozen=True)
-class MollifierSequence:
-    """Unit-mass smooth bumps shrinking onto a point.
-
-    ``radii`` must be positive and strictly decreasing; level k yields
-    the bump of radius radii[k] centered at ``center``, numerically
-    normalized to integrate to 1 on whichever grid it is sampled.
-    """
-
-    center: tuple
-    radii: tuple
-
-    def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        if not all(0.0 < c < 1.0 for c in center):
-            raise ValueError("invalid measure: mollifier center outside the open box")
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0.0 for r in radii):
-            raise ValueError("invalid config: radii must be positive")
-        if any(b >= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("invalid config: radii must be strictly decreasing")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radii", radii)
-
-    def __len__(self):
-        return len(self.radii)
-
-    def density(self, k: int, grid: Grid) -> ScalarField:
-        delta = DiscreteMeasure.point(self.center, 1.0)
-        return mollify(delta, self.radii[k], grid)
-
-    def measure(self, k: int, grid: Grid) -> DiscreteMeasure:
-        return DiscreteMeasure.from_density(self.density(k, grid))
-
-
 # ---------------------------------------------------------------------------
 # display
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Four kinds are supported: signed power |t|^(q-1) t with q >= 1, linear
 lambda*t with lambda >= 0, monotone piecewise-linear tables, and
 user-supplied callables.  Every kind exposes pointwise evaluation, a
 one-sided (right) derivative, a primitive with G(0) = 0 for energy
-line searches, a derivative bound over an interval, and the reflection
-t -> -g(-t) used by max-side truncation.
+line searches, and a derivative bound over an interval.
 """
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ import math
 
 import numpy as np
 
+from .checks import real
 
 class Nonlinearity:
     def __init__(self, fns: dict, label: str):
@@ -40,14 +40,10 @@ class Nonlinearity:
             raise ValueError("invalid bracket: derivative bound unavailable on the bracket")
         return lam
 
-    def reflected(self) -> "Nonlinearity":
-        """The nonlinearity t -> -g(-t); equals g for odd kinds."""
-        return self._fns["reflect"]()
-
     # ------------------------------------------------------------------
     @classmethod
     def power(cls, q: float) -> "Nonlinearity":
-        """g(t) = |t|^(q-1) t, q >= 1 (odd, so self-reflected)."""
+        """g(t) = |t|^(q-1) t, q >= 1."""
         q = float(q)
         if not q >= 1.0:
             raise ValueError(f"invalid nonlinearity: power exponent must be >= 1, got {q}")
@@ -64,10 +60,8 @@ class Nonlinearity:
         def max_dg(lo, hi):
             return q * max(abs(lo), abs(hi)) ** (q - 1.0) if q > 1.0 else q
 
-        obj = cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg,
-                   "reflect": lambda: obj},
-                  label=f"power(q={q:g})")
-        return obj
+        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg},
+                   label=f"power(q={q:g})")
 
     @classmethod
     def linear(cls, lam: float) -> "Nonlinearity":
@@ -75,13 +69,11 @@ class Nonlinearity:
         lam = float(lam)
         if lam < 0.0:
             raise ValueError(f"invalid nonlinearity: linear slope must be >= 0, got {lam}")
-        obj = cls({"g": lambda t: lam * t,
-                   "dg": lambda t: np.full_like(t, lam),
-                   "G": lambda t: 0.5 * lam * t * t,
-                   "max_dg": lambda lo, hi: lam,
-                   "reflect": lambda: obj},
-                  label=f"linear(lam={lam:g})")
-        return obj
+        return cls({"g": lambda t: lam * t,
+                    "dg": lambda t: np.full_like(t, lam),
+                    "G": lambda t: 0.5 * lam * t * t,
+                    "max_dg": lambda lo, hi: lam},
+                   label=f"linear(lam={lam:g})")
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -106,48 +98,33 @@ class Nonlinearity:
         if not (ts[0] <= 0.0 <= ts[-1]):
             raise ValueError("invalid nonlinearity: table range must contain 0")
         slopes = np.diff(gs) / np.diff(ts)
+        # exact piecewise-quadratic primitive from ts[0], accumulated at breakpoints
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (gs[1:] + gs[:-1]) * np.diff(ts))))
+
+        def segment(t):
+            """Index of the right-continuous segment holding t, and t's offset in it."""
+            seg = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.size - 1)
+            return seg, t - ts[seg]
 
         def g(t):
-            t = np.atleast_1d(t)
-            out = np.interp(t, ts, gs)
-            below = t < ts[0]
-            above = t > ts[-1]
-            out[below] = gs[0] + slopes[0] * (t[below] - ts[0])
-            out[above] = gs[-1] + slopes[-1] * (t[above] - ts[-1])
-            return out if out.size > 1 else out.reshape(())
+            seg, dt = segment(t)
+            return gs[seg] + slopes[seg] * dt
+
+        def primitive_from_start(t):
+            seg, dt = segment(t)
+            return cum[seg] + gs[seg] * dt + 0.5 * slopes[seg] * dt * dt
 
         g0 = float(g(0.0))
         if abs(g0) > 1e-12:
             raise ValueError(f"invalid nonlinearity: table gives g(0) = {g0:g}, expected 0")
-
-        def dg(t):
-            t = np.atleast_1d(t)
-            seg = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.size - 1)
-            out = slopes[seg]
-            return out if out.size > 1 else out.reshape(())
-
-        # exact piecewise-quadratic primitive, accumulated at breakpoints
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (gs[1:] + gs[:-1]) * np.diff(ts))))
-        i0 = int(np.searchsorted(ts, 0.0, side="right") - 1)
-        i0 = min(max(i0, 0), slopes.size - 1)
-        G0 = cum[i0] + gs[i0] * (0.0 - ts[i0]) + 0.5 * slopes[i0] * (0.0 - ts[i0]) ** 2
-
-        def G(t):
-            t = np.atleast_1d(t)
-            seg = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.size - 1)
-            dt = t - ts[seg]
-            out = cum[seg] + gs[seg] * dt + 0.5 * slopes[seg] * dt * dt - G0
-            return out if out.size > 1 else out.reshape(())
+        G0 = primitive_from_start(0.0)
 
         def max_dg(lo, hi):
-            a = int(np.clip(np.searchsorted(ts, lo, side="right") - 1, 0, slopes.size - 1))
-            b = int(np.clip(np.searchsorted(ts, hi, side="right") - 1, 0, slopes.size - 1))
+            (a, b), _ = segment(np.array([lo, hi]))
             return float(slopes[a:b + 1].max())
 
-        def reflect():
-            return cls.table(-ts[::-1], -gs[::-1])
-
-        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg, "reflect": reflect},
+        return cls({"g": g, "dg": lambda t: slopes[segment(t)[0]],
+                    "G": lambda t: primitive_from_start(t) - G0, "max_dg": max_dg},
                    label=f"table({ts.size} pts)")
 
     @classmethod
@@ -180,23 +157,14 @@ class Nonlinearity:
             nodes, weights = np.polynomial.legendre.leggauss(32)
 
             def G(t):
-                t = np.atleast_1d(np.asarray(t, dtype=np.float64))
                 pts = 0.5 * t[..., None] * (nodes + 1.0)
-                out = 0.5 * t * (g(pts) @ weights)
-                return out if out.size > 1 else out.reshape(())
+                return 0.5 * t * (g(pts) @ weights)
 
         def max_dg(lo, hi):
             samples = np.linspace(lo, hi, 4097)
             return float(np.max(dg(samples)))
 
-        def reflect():
-            refl_deriv = None if deriv is None else (lambda t: deriv(-np.asarray(t)))
-            refl_prim = None if primitive is None else (lambda t: primitive(-np.asarray(t)))
-            return cls.from_callable(lambda t: -fn(-np.asarray(t)),
-                                     deriv=refl_deriv, primitive=refl_prim,
-                                     label=f"reflected {label}")
-
-        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg, "reflect": reflect},
+        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg},
                    label=label or "callable")
 
 
@@ -213,9 +181,10 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         raise ValueError(f"invalid config: unknown key(s) for nonlinearity kind "
                          f"{kind!r}: {unknown}")
     if kind == "power":
-        return Nonlinearity.power(cfg.get("q", 2.0))
+        return Nonlinearity.power(real(cfg.get("q", 2.0), "q"))
     if kind == "linear":
-        return Nonlinearity.linear(cfg.get("lam", 0.0))
+        return Nonlinearity.linear(real(cfg.get("lam", 0.0), "lam"))
     if kind == "zero":
         return Nonlinearity.zero()
-    return Nonlinearity.table(cfg["t"], cfg["g"])
+    return Nonlinearity.table([real(v, "t") for v in cfg["t"]],
+                              [real(v, "g") for v in cfg["g"]])

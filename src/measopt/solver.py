@@ -62,13 +62,13 @@ class ConvergenceError(RuntimeError):
         self.trace = trace
 
 
-def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, x0=None):
-    """Solve (-Lap_h + diag) x = rhs; returns (x, inner_iterations)."""
-    diag_arr = np.asarray(diag, dtype=np.float64)
-    if diag_arr.ndim == 0:
-        diag_arr = np.full(grid.total_interior, float(diag_arr))
+def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float):
+    """Solve (-Lap_h + diag) x = rhs from x = 0; returns (x, inner_iterations).
+
+    diag is a nodal array, or a scalar for a constant shift.
+    """
     x, iters, res_l1, converged = kernels.cg_shifted(
-        rhs, diag_arr, grid.dim, grid.n, grid.h, x0,
+        rhs, np.asarray(diag, dtype=np.float64), grid.dim, grid.n, grid.h,
         atol_l1, CG_RTOL, maxiter=40 * grid.n + 200)
     if not converged:
         raise ConvergenceError(
@@ -204,8 +204,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     inner_total = 0
     for it in range(1, max_iter + 1):
         target = rhs + lam * u - np.asarray(g(u))
-        nxt, inner = _solve_shifted(grid, lam, target,
-                                    atol_l1=max(tol * 1e-2, 1e-14), x0=u)
+        nxt, inner = _solve_shifted(grid, lam, target, atol_l1=max(tol * 1e-2, 1e-14))
         inner_total += inner
         if np.any(nxt > u + 1e-10):
             raise ConvergenceError("monotone iteration failed to decrease",
@@ -259,10 +258,11 @@ def truncate_max(u: ScalarField, w: ScalarField, g: Nonlinearity):
     """Mirror truncation from below by a nonpositive subsolution w.
 
     Implemented exactly as the reflection of truncate_min through
-    t -> -t with the reflected nonlinearity -g(-t).
+    t -> -t with the reflected nonlinearity t -> -g(-t); truncate_min
+    only evaluates its g, so a plain function serves.
     """
     z_neg, m_neg = truncate_min(ScalarField(u.grid, -u.values),
-                                ScalarField(w.grid, -w.values), g.reflected())
+                                ScalarField(w.grid, -w.values), lambda t: -g(-t))
     return ScalarField(u.grid, -z_neg.values), negate(m_neg)
 
 

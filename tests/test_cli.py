@@ -308,6 +308,50 @@ def test_experiment_rejects_non_integer_grid_override(tmp_path, capsys, name, ov
     assert message in capsys.readouterr().err
 
 
+# (experiment, overrides, the key stderr must name)
+NON_NUMBER_OVERRIDES = [
+    ("exp_nonconvexity", {"alpha": True}, "alpha"),
+    ("exp_nonconvexity", {"theta": "2"}, "theta"),
+    ("exp_nonconvexity", {"amplitude": float("nan")}, "amplitude"),
+    ("exp_regularity_suite", {"q": True}, "q"),
+    ("exp_regularity_suite", {"p": "2"}, "p"),
+    ("exp_dirac_collapse", {"center": ["0.5", 0.5, 0.5]}, "center"),
+    ("exp_dirac_collapse", {"radius_factor": "4"}, "radius_factor"),
+    ("exp_dirac_collapse", {"p_values": [2.0, True]}, "p_values"),
+    ("exp_dirac_collapse", {"ud": {"name": "zero", "value": 3}}, "value"),
+    ("exp_mollification_stability", {"box": [0.4, "0.6"]}, "box"),
+    ("exp_mollification_stability", {"ud": {"name": "sines", "amplitud": 5}}, "amplitud"),
+    ("exp_mollification_stability", {"ud": {"name": "sines", "waves": 2.7}}, "waves"),
+]
+
+
+@pytest.mark.parametrize("name,overrides,key", NON_NUMBER_OVERRIDES,
+                         ids=[f"{name}-{key}" for name, _, key in NON_NUMBER_OVERRIDES])
+def test_experiment_rejects_non_number_override(tmp_path, capsys, name, overrides, key):
+    # experiment parameters and field specs follow the problem-file number rule
+    cfg = tmp_path / "cfg.json"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(overrides, fh)
+    assert run_cli(["experiment", name, "--config", str(cfg),
+                    "--out", str(tmp_path / "exp")]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("optimize", dict(PROBLEM, u_d={"name": "sines", "amplitud": 5}), "amplitud"),
+    ("optimize", dict(PROBLEM, u_d={"name": "bump", "amplitude": "0.1"}), "amplitude"),
+    ("solve", dict(PROBLEM, measure={"density": {"name": "constant", "value": True}}),
+     "value"),
+    ("solve", dict(PROBLEM, g={"kind": "power", "q": "3"}), "q"),
+    ("optimize", dict(PROBLEM, g={"kind": "linear", "lam": True}), "lam"),
+], ids=["u_d-amplitud", "u_d-amplitude", "density-value", "g-q", "g-lam"])
+def test_problem_file_rejects_bad_field_or_g_numbers(tmp_path, capsys, command, doc, key):
+    path = _write_problem(tmp_path, doc)
+    assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("name", ["exp_dirac_collapse", "exp_mollification_stability"])
 def test_experiment_tol_override_is_unknown(tmp_path, capsys, name):
     # both experiments solve at solver.DEFAULT_TOL; tol is not a parameter

@@ -216,3 +216,29 @@ def test_named_field_generators():
     assert b.values.max() == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         named_field(g, "perlin")
+
+
+BAD_FIELD_SPECS = [
+    ("sines", {"amplitud": 5}, "amplitud"),
+    ("zero", {"value": 3}, "value"),
+    ("constant", {"amplitude": 1.0}, "amplitude"),
+    ("sines", {"waves": 2.7}, "waves"),
+    ("sines", {"waves": 0}, "waves"),
+    ("sines", {"waves": True}, "waves"),
+    ("sines", {"amplitude": "0.1"}, "amplitude"),
+    ("constant", {"value": True}, "value"),
+    ("constant", {"value": math.nan}, "value"),
+    ("bump", {"width": "0.2"}, "width"),
+    ("bump", {"width": 0.0}, "width"),
+    ("bump", {"center": [0.5, False]}, "center"),
+    ("bump", {"center": [0.5]}, "center"),
+    ("bump", {"center": 0.5}, "center"),
+]
+
+
+@pytest.mark.parametrize("name,params,key", BAD_FIELD_SPECS,
+                         ids=[f"{name}-{key}={params[key]!r}"
+                              for name, params, key in BAD_FIELD_SPECS])
+def test_named_field_rejects_bad_keys_and_values(name, params, key):
+    with pytest.raises(ValueError, match=key):
+        named_field(build_grid(2, 5), name, params)

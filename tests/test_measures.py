@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from measopt import (DiscreteMeasure, MollifierSequence, ScalarField,
+from measopt import (DiscreteMeasure, ScalarField,
                      build_grid, bump_kernel, constant_field, describe,
                      jordan_decompose, lp_norm, mollify, negate, rasterize,
                      scale, tv_norm, weak_star_pairing, zeros_field)
@@ -195,27 +195,23 @@ def test_mollify_constant_density_plateau():
 
 
 def test_mollifier_sequence():
-    seq = MollifierSequence((0.5, 0.5), (0.3, 0.15, 0.075))
-    assert len(seq) == 3
     g = build_grid(2, 63)
-    for k in range(3):
-        d = seq.density(k, g)
+    delta = DiscreteMeasure.point((0.5, 0.5), 1.0)
+    for radius in (0.3, 0.15, 0.075):
+        d = mollify(delta, radius, g)
         assert float(d.values.sum()) * g.cell_volume == pytest.approx(1.0, abs=1e-10)
         assert np.all(d.values >= 0.0)
     with pytest.raises(ValueError):
-        MollifierSequence((0.5, 0.5), (0.1, 0.2))
-    with pytest.raises(ValueError):
-        MollifierSequence((0.5, 0.5), ())
-    with pytest.raises(ValueError):
-        MollifierSequence((1.5, 0.5), (0.1,))
+        DiscreteMeasure.point((1.5, 0.5), 1.0)
 
 
 def test_mollifier_pairing_converges_to_point_value():
-    seq = MollifierSequence((0.5, 0.5), (0.3, 0.15, 0.075))
     g = build_grid(2, 63)
+    delta = DiscreteMeasure.point((0.5, 0.5), 1.0)
     coords = g.node_coords()
     phi = ScalarField(g, np.sin(math.pi * coords[:, 0]) * np.sin(math.pi * coords[:, 1]))
-    errs = [abs(weak_star_pairing(seq.measure(k, g), phi) - 1.0) for k in range(3)]
+    errs = [abs(weak_star_pairing(DiscreteMeasure.from_density(mollify(delta, r, g)), phi) - 1.0)
+            for r in (0.3, 0.15, 0.075)]
     assert errs[2] < errs[0]
     assert errs[2] < 0.02
 

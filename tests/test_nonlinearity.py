@@ -16,7 +16,6 @@ def test_power_values():
     assert float(g.primitive(2.0)) == 4.0
     assert float(g.primitive(-2.0)) == 4.0
     assert g.max_derivative(-1.0, 3.0) == 27.0
-    assert g.reflected() is g
 
 
 def test_power_q1_is_identity():
@@ -40,7 +39,6 @@ def test_linear_and_zero():
     np.testing.assert_allclose(g(t), 0.7 * t, atol=0)
     np.testing.assert_allclose(g.derivative(t), 0.7, atol=0)
     np.testing.assert_allclose(g.primitive(t), 0.35 * t * t, rtol=0, atol=0)
-    assert g.reflected() is g
     z = Nonlinearity.zero()
     assert float(z(5.0)) == 0.0
     assert z.max_derivative(-10, 10) == 0.0
@@ -92,15 +90,12 @@ def test_table_validation():
         Nonlinearity.table([0.0], [0.0])
 
 
-def test_table_reflection():
-    g = Nonlinearity.table([-1.0, 0.0, 2.0], [-3.0, 0.0, 1.0])
-    r = g.reflected()
-    for t in (-2.5, -1.0, 0.0, 0.7, 3.0):
-        assert float(r(t)) == pytest.approx(-float(g(-t)), abs=1e-14)
-    # reflecting twice recovers the original
-    rr = r.reflected()
-    for t in (-2.5, 0.7, 3.0):
-        assert float(rr(t)) == pytest.approx(float(g(t)), abs=1e-14)
+def test_size_one_arrays_keep_their_shape():
+    t = np.array([0.4])
+    table = Nonlinearity.table([-1.0, 0.0, 2.0], [-3.0, 0.0, 1.0])
+    for out in (table(t), table.derivative(t), table.primitive(t),
+                Nonlinearity.from_callable(lambda s: np.asarray(s) ** 3).primitive(t)):
+        assert np.shape(out) == (1,)
 
 
 def test_from_callable_with_analytic_parts():
@@ -119,8 +114,6 @@ def test_from_callable_fallbacks():
     g = Nonlinearity.from_callable(lambda t: np.asarray(t) ** 3)
     assert float(g.derivative(2.0)) == pytest.approx(12.0, rel=1e-8)
     assert float(g.primitive(2.0)) == pytest.approx(4.0, rel=1e-12)
-    r = g.reflected()
-    assert float(r(2.0)) == pytest.approx(8.0)
     with pytest.raises(ValueError):
         Nonlinearity.from_callable(lambda t: np.asarray(t) + 1.0)  # g(0) != 0
 
@@ -152,3 +145,23 @@ def test_from_config():
                      ({"kind": "table", "t": [-1, 0, 1], "g": [-1, 0, 1], "q": 2}, "q")]:
         with pytest.raises(ValueError, match=f"'{key}'"):
             nonlinearity_from_config(cfg)
+
+
+NON_NUMBER_CONFIGS = [
+    ({"kind": "power", "q": "3"}, "q"),
+    ({"kind": "power", "q": True}, "q"),
+    ({"kind": "power", "q": math.nan}, "q"),
+    ({"kind": "linear", "lam": "2"}, "lam"),
+    ({"kind": "linear", "lam": False}, "lam"),
+    ({"kind": "table", "t": [-1, "0", 1], "g": [-1, 0, 1]}, "t"),
+    ({"kind": "table", "t": [-1, 0, 1], "g": [-1, 0, True]}, "g"),
+]
+
+
+@pytest.mark.parametrize("cfg,key", NON_NUMBER_CONFIGS,
+                         ids=[f"{cfg['kind']}-{key}={cfg[key]!r}"
+                              for cfg, key in NON_NUMBER_CONFIGS])
+def test_from_config_rejects_non_numbers(cfg, key):
+    # the problem-file number rule: bools, strings and NaN are not numbers
+    with pytest.raises(ValueError, match=rf"\b{key} must be"):
+        nonlinearity_from_config(cfg)

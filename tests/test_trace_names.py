@@ -6,6 +6,7 @@ breaks traced benchmark runs without failing any other test.
 """
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,9 @@ def test_other_looked_up_names_exist(tracing):
     assert isinstance(measopt.kernels.backend_name(), str)
     for _, method in tracing.NONLINEARITY_METHODS:
         assert callable(getattr(measopt.nonlinearity.Nonlinearity, method))
+
+
+def test_cg_signature_matches_the_cg_observer():
+    # the tracer's cg observer reads dim and n as positional args[2] and args[3]
+    params = list(inspect.signature(measopt.kernels.cg_shifted).parameters)
+    assert params[:4] == ["b", "diag", "dim", "n"]
