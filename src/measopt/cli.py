@@ -112,7 +112,8 @@ def _parse_field(doc, grid, base: Path):
 def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
     if not isinstance(doc, dict):
         raise ValueError("measure spec must be an object")
-    atoms = tuple((tuple(a["x"]), real(a["w"], "w")) for a in doc.get("atoms", []))
+    atoms = tuple((tuple(real(x, "x") for x in a["x"]), real(a["w"], "w"))
+                  for a in doc.get("atoms", []))
     density = None
     if "density_file" in doc:
         density = load_field(base / doc["density_file"])
@@ -163,8 +164,7 @@ def _cmd_optimize(args) -> int:
     prob = ControlProblem(grid, g, u_d, real(doc.get("p", 2.0), "p", allow_inf=True),
                           real(doc["alpha"], "alpha"))
     opt = doc.get("optimizer", {})
-    allowed = {f.name for f in dataclasses.fields(OptimizeConfig)} - {"initial_control"}
-    bad = set(opt) - allowed
+    bad = set(opt) - {f.name for f in dataclasses.fields(OptimizeConfig)}
     if bad:
         raise ValueError(f"unknown optimizer option(s): {', '.join(sorted(bad))}")
     res = optimize_problem(prob, OptimizeConfig(**opt))

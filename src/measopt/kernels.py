@@ -97,7 +97,8 @@ def cg_shifted(b, diag, dim: int, n: int, h: float,
     preconditioner is (-Lap_h + mean(d) I)^-1, applied exactly by
     the sine transform.  Stops when the quadrature-weighted L1 residual
     drops to ``atol_l1`` or the 2-norm residual falls below
-    ``rtol * ||b||``.  The true residual is recomputed before accepting
+    ``rtol * ||b||``, and gives up at the first residual that is not
+    finite.  The true residual is recomputed before accepting
     convergence so recurrence drift cannot fake it.
 
     Returns
@@ -133,6 +134,8 @@ def cg_shifted(b, diag, dim: int, n: int, h: float,
         r -= alpha * Ap
         it += 1
         res_l1 = hd * float(np.abs(r).sum())
+        if not math.isfinite(res_l1):
+            break  # NaN or inf in b or d: no further iteration can recover
         if res_l1 <= atol_l1 or np.sqrt(float(r @ r)) <= floor2:
             r_true = b - _apply_shifted(x, diag, dim, n, inv_h2)
             res_l1 = hd * float(np.abs(r_true).sum())

@@ -99,9 +99,9 @@ def _problem_with(key, value):
     """PROBLEM with key set to value where a problem file keeps it."""
     if key in PROBLEM["grid"]:
         return dict(PROBLEM, grid={**PROBLEM["grid"], key: value})
-    if key == "w":
-        return dict(PROBLEM, measure={**PROBLEM["measure"],
-                                      "atoms": [{"x": [0.5, 0.5], "w": value}]})
+    if key in ("x", "w"):
+        atom = {"x": [0.5, 0.5], "w": 1.0, key: value}
+        return dict(PROBLEM, measure={**PROBLEM["measure"], "atoms": [atom]})
     if key in ("tol", "p", "alpha"):
         return dict(PROBLEM, **{key: value})
     return dict(PROBLEM, optimizer={key: value})
@@ -112,9 +112,12 @@ def _problem_with(key, value):
                                        ("tol", True), ("tol", 0), ("tol", -1.0),
                                        ("tol", float("nan")), ("tol", float("inf")),
                                        ("tol", "1e-10"),
-                                       ("w", True), ("w", "1.0"), ("w", float("nan"))])
+                                       ("w", True), ("w", "1.0"), ("w", float("nan")),
+                                       ("x", ["0.5", "0.25"]), ("x", [True, 0.5]),
+                                       ("x", [0.5, float("nan")])])
 def test_solve_rejects_non_integer_grid(tmp_path, capsys, key, value):
-    # grid sizes must be integers, tol a finite real > 0, atom weights finite reals
+    # grid sizes must be integers, tol a finite real > 0, atom weights and
+    # coordinates finite reals
     path = _write_problem(tmp_path, _problem_with(key, value))
     assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import measopt.control
 from measopt import (ControlProblem, CostUnavailableError, DiscreteMeasure,
                      Nonlinearity, OptimizeConfig, ScalarField,
                      adjoint_gradient, alpha_sweep, build_grid,
@@ -268,8 +269,7 @@ def test_optimize_f_value_is_evaluate_cost():
 def test_optimize_config_fields():
     # the line search is fixed; out-of-range and mistyped values are
     # rejected through the CLI tests
-    assert [f.name for f in dataclasses.fields(OptimizeConfig)] == [
-        "max_iter", "initial_control"]
+    assert [f.name for f in dataclasses.fields(OptimizeConfig)] == ["max_iter"]
     assert OptimizeConfig(max_iter=np.int64(3)).max_iter == 3
 
 
@@ -289,16 +289,6 @@ def test_optimize_recovers_planted_sparse_control():
     assert res.F_value <= 1.5 * f_planted
     assert res.sparsity > 0.5
     assert tv_norm(res.mu_star) <= tv_norm(m0) + 0.05
-
-
-def test_optimize_initial_control_start():
-    grid = build_grid(2, 9)
-    u_d = named_field(grid, "sines", {"amplitude": 0.5})
-    prob = _problem(grid, alpha=0.01, u_d=u_d)
-    cold = optimize(prob, OptimizeConfig(max_iter=40))
-    warm_start = ScalarField(grid, cold.mu_star.density.values)
-    warm = optimize(prob, OptimizeConfig(max_iter=40, initial_control=warm_start))
-    assert warm.F_value <= cold.F_value + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +387,7 @@ def test_stability_zero_perturbation():
     assert len(rows) == 1
     assert rows[0].perturbation_norm == 0.0
     assert rows[0].within_bound
-    # the warm-started rerun can only improve on the base run
+    # the rerun from zero on the unperturbed target reproduces the base run
     assert rows[0].excess <= 1e-12
     assert rows[0].f_cross == pytest.approx(rows[0].f_perturbed_problem, rel=1e-12)
 
@@ -418,6 +408,27 @@ def test_stability_shrinking_perturbations():
         assert row.within_bound
     bounds = [r.bound for r in rows]
     assert bounds[0] > bounds[1] > bounds[2]
+
+
+def test_one_optimize_run_per_problem(monkeypatch):
+    # every sweep level and every perturbed target is one run from zero,
+    # and stability_run adds one base run
+    starts = []
+    real_optimize = measopt.control.optimize
+
+    def counting(prob, config=None):
+        starts.append(prob)
+        return real_optimize(prob, config)
+
+    monkeypatch.setattr(measopt.control, "optimize", counting)
+    grid = build_grid(2, 7)
+    prob = _problem(grid, u_d=named_field(grid, "sines", {"amplitude": 0.2}))
+    cfg = OptimizeConfig(max_iter=3)
+    alpha_sweep(prob, [0.2, 0.1, 0.05], cfg)
+    assert [p.alpha for p in starts] == [0.2, 0.1, 0.05]
+    starts.clear()
+    stability_run(prob, [zeros_field(grid), constant_field(grid, 0.01)], cfg)
+    assert len(starts) == 3
 
 
 def test_stability_rejects_foreign_grid():

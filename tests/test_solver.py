@@ -341,6 +341,22 @@ def test_absorption_bound_random(case):
     assert lp_norm(ScalarField(grid, np.asarray(g(u.values))), 1.0) <= tv_norm(m) + 1e-8
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_principle_cases())
+def test_truncation_shrinks_datum_tv_random(case):
+    # w = (-Lap_h)^-1 bump >= 0 is a supersolution for every g >= 0 on
+    # t >= 0, and -w a subsolution; truncating the state of m against
+    # either never raises the total variation of its datum
+    grid, g, m, bump = case
+    u, _ = solve_semilinear(grid, g, m)
+    w, _ = solve_linear(grid, bump)
+    tv_u = tv_norm(residual_measure(grid, g, u))
+    _, nu_min = truncate_min(u, w, g)
+    _, nu_max = truncate_max(u, ScalarField(grid, -w.values), g)
+    assert tv_norm(nu_min) <= tv_u + 1e-8
+    assert tv_norm(nu_max) <= tv_u + 1e-8
+
+
 def test_semilinear_reaches_machine_residual():
     grid = build_grid(2, 15)
     m = DiscreteMeasure.point((0.5, 0.5), 1.0)
@@ -355,6 +371,20 @@ def test_semilinear_reaches_machine_residual():
 def test_semilinear_converges_with_sharply_peaked_shift():
     solve_semilinear(build_grid(2, 31), Nonlinearity.power(8),
                      DiscreteMeasure.point((0.5, 0.5), 50.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_g_stops_the_first_cg_iteration(bad):
+    # g is finite only on a band around 0 that the state leaves; CG must give
+    # up at the first non-finite residual instead of iterating to its cap
+    g = Nonlinearity.from_callable(lambda t: np.where(np.abs(t) <= 0.01, t, bad))
+    grid = build_grid(2, 15)
+    with pytest.raises(ConvergenceError) as info:
+        solve_semilinear(grid, g, DiscreteMeasure.point((0.5, 0.5), 1.0))
+    assert info.value.field is not None and info.value.field.grid == grid
+    assert info.value.report.iterations <= 1
+    assert not info.value.report.converged
 
 
 def test_variational_identity_against_pairing():
