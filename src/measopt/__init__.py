@@ -17,7 +17,7 @@ from .grid import (Grid, ScalarField, build_grid, constant_field,
                    neg_laplacian_apply, save_field, w11_norm, zeros_field)
 from .measures import (DiscreteMeasure, bump_kernel, describe,
                        jordan_decompose, mollify, negate, rasterize, scale,
-                       tv_norm, weak_star_pairing)
+                       tv_norm)
 from .nonlinearity import Nonlinearity, nonlinearity_from_config
 from .solver import (ConvergenceError, LevelRecord, ReducedLimitResult,
                      SolveReport, TruncationCheck, lemma_truncation_check,
@@ -38,7 +38,6 @@ __all__ = [
     "save_field", "w11_norm", "zeros_field",
     "DiscreteMeasure", "bump_kernel", "describe", "jordan_decompose",
     "mollify", "negate", "rasterize", "scale", "tv_norm",
-    "weak_star_pairing",
     "Nonlinearity", "nonlinearity_from_config",
     "ConvergenceError", "LevelRecord", "ReducedLimitResult", "SolveReport",
     "TruncationCheck", "lemma_truncation_check", "reduced_limit",

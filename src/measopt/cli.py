@@ -109,10 +109,16 @@ def _parse_field(doc, grid, base: Path):
     return named_field(grid, doc.get("name", "zero"), doc)
 
 
+def _atom_location(x, dim: int) -> tuple:
+    if not isinstance(x, list) or len(x) != dim:
+        raise ValueError(f"invalid config: x must be a list of {dim} reals, got {x!r}")
+    return tuple(real(c, "x") for c in x)
+
+
 def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
     if not isinstance(doc, dict):
         raise ValueError("measure spec must be an object")
-    atoms = tuple((tuple(real(x, "x") for x in a["x"]), real(a["w"], "w"))
+    atoms = tuple((_atom_location(a["x"], grid.dim), real(a["w"], "w"))
                   for a in doc.get("atoms", []))
     density = None
     if "density_file" in doc:

@@ -128,22 +128,6 @@ def rasterize(m: DiscreteMeasure, grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def weak_star_pairing(m: DiscreteMeasure, phi: ScalarField) -> float:
-    """Pairing <m, phi>: atom weights sample phi at nearest nodes, the
-    density integrates against phi with h^dim weights."""
-    total = 0.0
-    grid = phi.grid
-    if m.dim != grid.dim:
-        raise ValueError("invalid measure: dimension does not match test field")
-    for loc, w in m.atoms:
-        total += w * float(phi.values[grid.flat_index(grid.nearest_index(loc))])
-    if m.density is not None:
-        if m.density.grid != grid:
-            raise ValueError("invalid measure: density lives on a different grid")
-        total += float(m.density.values @ phi.values) * grid.cell_volume
-    return total
-
-
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     lowers the energy or the residual.  It pushes the iterate to
     essentially machine accuracy, which the maximum principle and
     gradient checks downstream rely on, and the iteration ends after it.
+    An iterate at which g is not finite ends the solve with a
+    ConvergenceError that carries that iterate.
     """
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
@@ -129,7 +131,14 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     lap_u, energy = _energy_parts(grid, g, rhs, u)
     newton_its = 0
     for _ in range(NEWTON_MAX):
-        res_vec = lap_u + np.asarray(g(u)) - rhs
+        gu = np.asarray(g(u))
+        if not np.isfinite(gu).all():
+            report = SolveReport(newton_its, math.nan, False, method="newton+cg",
+                                 inner_iterations=inner_total)
+            raise ConvergenceError(f"no convergence: g returned a non-finite value after "
+                                   f"{newton_its} newton iterations", report=report,
+                                   field=ScalarField(grid, u))
+        res_vec = lap_u + gu - rhs
         residual = float(np.abs(res_vec).sum()) * hd
         polish = residual <= tol
         dg = np.asarray(g.derivative(u))

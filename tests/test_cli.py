@@ -124,6 +124,15 @@ def test_solve_rejects_non_integer_grid(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("x", [0.5, [0.5], [0.5, 0.5, 0.5], {"0": 0.5}])
+def test_solve_rejects_atom_x_that_is_not_a_dim_list(tmp_path, capsys, x):
+    # a bare number used to fail with "'float' object is not iterable"
+    path = _write_problem(tmp_path, _problem_with("x", x))
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "x must be a list of 2 reals" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("sidecar,key", [({"dim": 2.0, "n": 9.9}, "dim"),
                                          ({"dim": 2, "n": 9.9}, "n"),
                                          ({"dim": True, "n": 81}, "dim"),

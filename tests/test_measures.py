@@ -6,7 +6,9 @@ import pytest
 from measopt import (DiscreteMeasure, ScalarField,
                      build_grid, bump_kernel, constant_field, describe,
                      jordan_decompose, lp_norm, mollify, negate, rasterize,
-                     scale, tv_norm, weak_star_pairing, zeros_field)
+                     scale, tv_norm, zeros_field)
+
+from _oracle import weak_star_pairing
 
 
 def _random_measure(rng, grid, n_atoms=3):

@@ -11,12 +11,13 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      reduced_limit, residual_measure,
                      solve_by_sub_supersolution, solve_linear,
                      solve_semilinear, truncate_max, truncate_min,
-                     tv_norm, weak_star_pairing, zeros_field)
+                     tv_norm, zeros_field)
 import measopt.solver
 from measopt.grid import neg_laplacian_apply
+from measopt.kernels import _sine_transform
 from measopt.solver import _solve_shifted
 
-from _oracle import _solve_direct
+from _oracle import _solve_direct, weak_star_pairing
 
 
 def _const_measure(grid, value):
@@ -99,6 +100,21 @@ def _shifted_systems(draw):
         diag = rng.uniform(0.0, top, grid.total_interior)
     rhs = rng.standard_normal(grid.total_interior)
     return grid, diag, rhs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 31])
+def test_sine_transform_is_an_orthonormal_involution(dim, n):
+    a = np.random.default_rng(10 * dim + n).standard_normal((n,) * dim)
+    t = _sine_transform(a)
+    assert t.shape == a.shape
+    np.testing.assert_allclose(_sine_transform(t), a, rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(t) == pytest.approx(np.linalg.norm(a), rel=1e-12)
+    if dim == 1:
+        j = np.arange(1, n + 1)
+        ref = [math.sqrt(2.0 / (n + 1)) * float(a @ np.sin(np.pi * j * k / (n + 1)))
+               for k in j]
+        np.testing.assert_allclose(t, ref, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -376,11 +392,11 @@ def test_semilinear_converges_with_sharply_peaked_shift():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_g_stops_the_first_cg_iteration(bad):
-    # g is finite only on a band around 0 that the state leaves; CG must give
-    # up at the first non-finite residual instead of iterating to its cap
+    # g is finite only on a band around 0 that the state leaves; the solve
+    # must name g instead of handing a non-finite residual to CG
     g = Nonlinearity.from_callable(lambda t: np.where(np.abs(t) <= 0.01, t, bad))
     grid = build_grid(2, 15)
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError, match="g returned a non-finite value") as info:
         solve_semilinear(grid, g, DiscreteMeasure.point((0.5, 0.5), 1.0))
     assert info.value.field is not None and info.value.field.grid == grid
     assert info.value.report.iterations <= 1
