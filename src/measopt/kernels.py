@@ -5,18 +5,25 @@ box in lexicographic node order, with an implicit zero Dirichlet
 boundary: stencil reads outside the index range contribute 0.
 
 The shifted solve (-Lap_h + diag(d)) x = b runs conjugate gradients
-preconditioned by the exact solve with the constant shift c = mean(d).
+preconditioned by the exact solve with M = -Lap_h + c I, c = mean(d).
 On this box the orthonormal type-I sine transform diagonalizes -Lap_h
 (the fast Poisson solver of Buzbee, Golub and Nielson, 1970), so one
-preconditioner application costs two transforms, and CG stops after
-one iteration whenever d is constant.  The transform is a dense product
-with the n x n sine matrix along each axis in turn, O(n^(dim+1)) flops
-in all.  At the sizes measopt runs this beats an FFT, whose cost at
-small n goes to axis bookkeeping and padded copies rather than
-arithmetic.  Against a zero-padded real FFT per axis, with one BLAS
-thread on a 2-core host, the dense form was 1.7-6.7x faster in 2-D for
-n = 17..255 and 1.3-8.5x faster in 3-D for n = 15..191; the two tie at
-2-D n = 511.
+preconditioner application costs two transforms.  Writing
+A = M + diag(d - c), CG carries M p alongside each direction p
+(Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981) and forms A p from it,
+so one iteration costs two transforms and no stencil; the stencil runs
+only in the true-residual check.  CG stops after one iteration whenever
+d is constant.  The transform is a dense product with the symmetric
+n x n sine matrix per axis, O(n^(dim+1)) flops in all: a.reshape(-1, n)
+@ S for the last axis and S @ a.reshape(n**ax, n, -1) for every other
+axis ax, with no transposed copy.  At the sizes measopt runs this beats
+an FFT, whose cost at small n goes to axis bookkeeping and padded
+copies rather than arithmetic.  Against a zero-padded real FFT per
+axis, with one BLAS thread on a 2-core host, a dense product per axis
+was 1.7-6.7x faster in 2-D for n = 17..255 and 1.3-8.5x faster in 3-D
+for n = 15..191; the two tie at 2-D n = 511.  Dropping the transposed
+copies made the transform a further 1.2-2.2x faster in 3-D
+(n = 15..127) and left 2-D within timing noise (n = 17..511).
 """
 from __future__ import annotations
 
@@ -48,7 +55,6 @@ def neg_laplacian_numpy(u, dim: int, n: int, inv_h2: float):
     """
     a = u.reshape((n,) * dim)
     out = (2.0 * dim) * a
-    out = out.copy() if out is a else out
     for ax in range(dim):
         lo = [slice(None)] * dim
         hi = [slice(None)] * dim
@@ -91,15 +97,18 @@ def _sine_matrix(n: int) -> np.ndarray:
 def _sine_transform(a):
     """Orthonormal type-I sine transform over every axis (all of length n).
 
-    Each pass multiplies the last axis by the sine matrix and moves the
-    result to the front, so after ndim passes the axes are back in order.
+    The last axis is one product ``a.reshape(-1, n) @ S``; every other
+    axis ``ax`` is ``S @ a.reshape(n**ax, n, -1)``, a single product for
+    the leading axis and a batched one for a middle axis.  S is
+    symmetric, so no pass needs a transposed copy.
     """
     shape = a.shape
     n = shape[0]
     s = _sine_matrix(n)
-    for _ in range(a.ndim):
-        a = (a.reshape(-1, n) @ s).T.reshape(shape)
-    return a
+    a = a.reshape(-1, n) @ s
+    for ax in range(len(shape) - 1):
+        a = s @ a.reshape(n ** ax, n, -1)
+    return a.reshape(shape)
 
 
 def cg_shifted(b, diag, dim: int, n: int, h: float,
@@ -107,12 +116,14 @@ def cg_shifted(b, diag, dim: int, n: int, h: float,
     """Preconditioned conjugate gradients for (-Lap_h + diag(d)) x = b from x = 0.
 
     ``diag`` is a flat array or, for a constant shift, a 0-d one.  The
-    preconditioner is (-Lap_h + mean(d) I)^-1, applied exactly by
-    the sine transform.  Stops when the quadrature-weighted L1 residual
-    drops to ``atol_l1`` or the 2-norm residual falls below
-    ``rtol * ||b||``, and gives up at the first residual that is not
-    finite.  The true residual is recomputed before accepting
-    convergence so recurrence drift cannot fake it.
+    preconditioner is M^-1 with M = -Lap_h + c I and c = mean(d),
+    applied exactly by the sine transform.  Every direction is
+    p = z + beta * p_old with M z = r, so M p = r + beta * M p_old, and
+    A p = M p + (d - c) p needs no stencil.  Stops when the
+    quadrature-weighted L1 residual drops to ``atol_l1`` or the 2-norm
+    residual falls below ``rtol * ||b||``, and gives up at the first
+    residual that is not finite.  The true residual is recomputed
+    before accepting convergence so recurrence drift cannot fake it.
 
     Returns
     -------
@@ -121,7 +132,9 @@ def cg_shifted(b, diag, dim: int, n: int, h: float,
     inv_h2 = 1.0 / (h * h)
     hd = h ** dim
     shape = (n,) * dim
-    inv_eig = 1.0 / (_eigenvalues(dim, n, h) + float(diag.mean()))
+    c = float(diag.mean())
+    inv_eig = 1.0 / (_eigenvalues(dim, n, h) + c)
+    d_minus_c = diag - c
 
     def precondition(r):
         r_hat = _sine_transform(r.reshape(shape))
@@ -135,16 +148,17 @@ def cg_shifted(b, diag, dim: int, n: int, h: float,
     if res_l1 <= atol_l1 or bnorm == 0.0:
         return x, 0, res_l1, True
     p = z = precondition(r)
+    mp = r  # M p; aliases r, so r is never updated in place
     rz = float(r @ z)
     it = 0
     while it < maxiter:
-        Ap = _apply_shifted(p, diag, dim, n, inv_h2)
+        Ap = mp + d_minus_c * p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break  # loss of positive definiteness: bail to true-residual check
         alpha = rz / pAp
         x += alpha * p
-        r -= alpha * Ap
+        r = r - alpha * Ap
         it += 1
         res_l1 = hd * float(np.abs(r).sum())
         if not math.isfinite(res_l1):
@@ -156,11 +170,14 @@ def cg_shifted(b, diag, dim: int, n: int, h: float,
                 return x, it, res_l1, True
             r = r_true
             p = z = precondition(r)
+            mp = r
             rz = float(r @ z)
             continue
         z = precondition(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        mp = r + beta * mp
         rz = rz_new
     r_true = b - _apply_shifted(x, diag, dim, n, inv_h2)
     res_l1 = hd * float(np.abs(r_true).sum())

@@ -49,13 +49,13 @@ class Nonlinearity:
             raise ValueError(f"invalid nonlinearity: power exponent must be >= 1, got {q}")
 
         def g(t):
-            return np.sign(t) * np.abs(t) ** q
+            return t * np.abs(t) ** (q - 1.0)
 
         def dg(t):
             return q * np.abs(t) ** (q - 1.0)
 
         def G(t):
-            return np.abs(t) ** (q + 1.0) / (q + 1.0)
+            return t * t * np.abs(t) ** (q - 1.0) / (q + 1.0)
 
         def max_dg(lo, hi):
             return q * max(abs(lo), abs(hi)) ** (q - 1.0) if q > 1.0 else q

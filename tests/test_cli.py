@@ -156,6 +156,23 @@ def test_solve_rejects_unknown_nonlinearity_key(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_solve_rejects_decreasing_table_g(tmp_path, capsys):
+    g = {"kind": "table", "t": [-1.0, 0.0, 1.0], "g": [1.0, 0.0, -1.0]}
+    path = _write_problem(tmp_path, dict(PROBLEM, g=g))
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "table values must be nondecreasing" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_cg_stall_exits_one(tmp_path, capsys):
+    # the peaked shift of test_semilinear_converges_with_sharply_peaked_shift
+    doc = dict(PROBLEM, grid={"dim": 2, "n": 31}, g={"kind": "power", "q": 8},
+               measure={"atoms": [{"x": [0.5, 0.5], "w": 50.0}]})
+    path = _write_problem(tmp_path, doc)
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "solver failure" in capsys.readouterr().err
+
+
 def test_missing_problem_file(tmp_path, capsys):
     assert run_cli(["solve", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

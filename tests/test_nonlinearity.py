@@ -26,6 +26,17 @@ def test_power_q1_is_identity():
     assert g.max_derivative(-5.0, 5.0) == 1.0
 
 
+def test_power_matches_signed_power_on_random_inputs():
+    rng = np.random.default_rng(7)
+    for q in rng.uniform(1.0, 4.0, 20):
+        g = Nonlinearity.power(q)
+        t = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-3.0, 1.0, 200)
+        a = np.abs(t)
+        np.testing.assert_allclose(g(t), np.sign(t) * a ** q, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g.primitive(t), a ** (q + 1.0) / (q + 1.0),
+                                   rtol=1e-13, atol=0)
+
+
 def test_power_rejects_subunit_exponent():
     with pytest.raises(ValueError):
         Nonlinearity.power(0.5)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      solve_by_sub_supersolution, solve_linear,
                      solve_semilinear, truncate_max, truncate_min,
                      tv_norm, zeros_field)
+import measopt.kernels
 import measopt.solver
 from measopt.grid import neg_laplacian_apply
 from measopt.kernels import _sine_transform
@@ -115,6 +117,33 @@ def test_sine_transform_is_an_orthonormal_involution(dim, n):
         ref = [math.sqrt(2.0 / (n + 1)) * float(a @ np.sin(np.pi * j * k / (n + 1)))
                for k in j]
         np.testing.assert_allclose(t, ref, rtol=0.0, atol=1e-12)
+    else:
+        # separable: each axis transformed exactly once, by the 1-D transform
+        vs = np.random.default_rng(n).standard_normal((dim, n))
+        outer = functools.reduce(np.multiply.outer, vs)
+        ref = functools.reduce(np.multiply.outer, [_sine_transform(v) for v in vs])
+        np.testing.assert_allclose(_sine_transform(outer), ref, rtol=0.0, atol=1e-12)
+
+
+def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
+    # A p comes from M p = r + beta * M p_old, M = -Lap_h + mean(d) I
+    calls = []
+    stencil = measopt.kernels.neg_laplacian_numpy
+
+    def counting(*args):
+        calls.append(1)
+        return stencil(*args)
+
+    monkeypatch.setattr(measopt.kernels, "neg_laplacian_numpy", counting)
+    n, h = 15, 1.0 / 16
+    x1, x2 = np.meshgrid(np.arange(1, n + 1) * h, np.arange(1, n + 1) * h, indexing="ij")
+    diag = (1.0 + 500.0 * np.exp(-((x1 - 0.3) ** 2 + (x2 - 0.6) ** 2) / 0.01)).reshape(-1)
+    b = np.random.default_rng(5).standard_normal(n * n)
+    x, iters, _, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h, 1e-12, 1e-12, 200)
+    assert converged and iters >= 3
+    assert len(calls) == 1
+    residual = stencil(x, 2, n, 1.0 / h ** 2) + diag * x - b
+    assert np.abs(residual).sum() * h * h <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -295,11 +324,17 @@ def _draw_measure(draw, rng, grid, nonnegative):
 
 @st.composite
 def _nonlinearities(draw):
-    kind = draw(st.sampled_from(["power", "linear", "table"]))
+    kind = draw(st.sampled_from(["power", "linear", "table", "callable"]))
     if kind == "power":
         return Nonlinearity.power(draw(st.floats(1.0, 4.0)))
     if kind == "linear":
         return Nonlinearity.linear(draw(st.floats(0.0, 5.0)))
+    if kind == "callable":
+        # bounded and monotone; no deriv or primitive, so the central
+        # differences and the quadrature primitive are what the solver sees
+        c = draw(st.floats(0.0, 5.0))
+        return Nonlinearity.from_callable(lambda t: c * np.arctan(t),
+                                          label=f"{c:g}*arctan")
     # kinks at random breakpoints around 0, flat segments included
     left = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
     right = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
