@@ -9,8 +9,11 @@ search on the discrete energy
 
     E(u) = 0.5 <u, -Lap_h u>_h + sum G(u_i) h^dim - <rhs, u>_h,
 
-whose gradient is exactly the PDE residual.  A monotone sub- and
-supersolution iteration is available as an independent solve mode.
+whose gradient is exactly the PDE residual.  Each trial point is
+evaluated once, for its residual and its energy together, and one test
+accepts it: the Armijo decrease, or for a full step a smaller residual.
+A monotone sub- and supersolution iteration is available as an
+independent solve mode.
 Residuals are always measured in the quadrature-weighted discrete L1
 norm, matching the measure-space reading of the right-hand side.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import checks, kernels
 from .grid import Grid, ScalarField, _lp
 from .measures import DiscreteMeasure, negate, rasterize, tv_norm
 from .nonlinearity import Nonlinearity
@@ -89,6 +92,7 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     (ScalarField, SolveReport); the report residual is the weighted-L1
     norm of -Lap_h u - rasterize(m).
     """
+    tol = checks.real(tol, "tol", positive=True)
     rhs = rasterize(m, grid).values
     x, inner = _solve_shifted(grid, 0.0, rhs, atol_l1=tol)
     res = _lp(_neg_lap(grid, x) - rhs, 1.0, grid)
@@ -99,11 +103,14 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     return ScalarField(grid, x), report
 
 
-def _energy_parts(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray):
-    lap_u = _neg_lap(grid, u)
+def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray):
+    """The residual -Lap_h u + g(u) - rhs at u, its weighted-L1 norm and the energy."""
     hd = grid.cell_volume
+    lap_u = _neg_lap(grid, u)
+    res_vec = lap_u + np.asarray(g(u)) - rhs
     quad = 0.5 * float(u @ lap_u) * hd
-    return lap_u, quad + float(g.primitive(u).sum()) * hd - float(rhs @ u) * hd
+    energy = quad + float(g.primitive(u).sum()) * hd - float(rhs @ u) * hd
+    return res_vec, float(np.abs(res_vec).sum()) * hd, energy
 
 
 def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
@@ -113,33 +120,33 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     The initial iterate is the linear solution u0 of -Lap_h u0 = m, for
     signed and nonnegative data alike.  It needs no clipping: -Lap_h is
     an M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
-    semilinear solution obeys the same bound.  Steps are accepted by an
-    Armijo test on the discrete energy, so the energy never increases;
-    ``_energy_parts`` alone evaluates it, and the -Lap_h u it returns
-    feeds the next residual.  Once the residual reaches tol, one
-    polishing step follows: a single full step, never halved, kept if it
-    lowers the energy or the residual.  It pushes the iterate to
-    essentially machine accuracy, which the maximum principle and
-    gradient checks downstream rely on, and the iteration ends after it.
-    An iterate at which g is not finite ends the solve with a
-    ConvergenceError that carries that iterate.
+    semilinear solution obeys the same bound.  ``_evaluate`` gives the
+    residual, its norm and the energy at each trial point, evaluating g
+    and G once there, and the loop carries them from the accepted trial.
+    A trial is accepted when it passes the Armijo test on the energy,
+    or, for a full step, when it lowers the residual: near the fixed
+    point the energy decrement drops below rounding.  Once the residual
+    reaches tol, one polishing step follows: a single full step, never
+    halved, kept by the same test.  It pushes the iterate to essentially
+    machine accuracy, which the maximum principle and gradient checks
+    downstream rely on, and the iteration ends after it.  An iterate at
+    which g is not finite ends the solve with a ConvergenceError that
+    carries that iterate.
     """
+    tol = checks.real(tol, "tol", positive=True)
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
     u, inner_total = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
 
-    lap_u, energy = _energy_parts(grid, g, rhs, u)
+    res_vec, residual, energy = _evaluate(grid, g, rhs, u)
     newton_its = 0
     for _ in range(NEWTON_MAX):
-        gu = np.asarray(g(u))
-        if not np.isfinite(gu).all():
+        if not np.isfinite(res_vec).all():  # -Lap_h u - rhs is finite, so g is not
             report = SolveReport(newton_its, math.nan, False, method="newton+cg",
                                  inner_iterations=inner_total)
             raise ConvergenceError(f"no convergence: g returned a non-finite value after "
                                    f"{newton_its} newton iterations", report=report,
                                    field=ScalarField(grid, u))
-        res_vec = lap_u + gu - rhs
-        residual = float(np.abs(res_vec).sum()) * hd
         polish = residual <= tol
         dg = np.asarray(g.derivative(u))
         if np.any(dg < -1e-12):
@@ -154,30 +161,20 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         inner_total += inner
         slope = float(res_vec @ delta) * hd
         tau = 1.0
-        accepted = False
-        while tau >= 1e-12:
+        while True:
             cand = u + tau * delta
-            lap_cand, cand_energy = _energy_parts(grid, g, rhs, cand)
-            if cand_energy <= energy + 1e-4 * tau * slope:
-                accepted = True
-                break
-            if tau == 1.0:
-                # near the fixed point the energy decrement drops below
-                # rounding; accept the full step on residual contraction
-                cand_res = lap_cand + np.asarray(g(cand)) - rhs
-                if float(np.abs(cand_res).sum()) * hd < residual:
-                    accepted = True
-                    break
-                if polish:
-                    break
+            cand_vec, cand_residual, cand_energy = _evaluate(grid, g, rhs, cand)
+            accepted = (cand_energy <= energy + 1e-4 * tau * slope
+                        or (tau == 1.0 and cand_residual < residual))
             tau *= 0.5
+            if accepted or polish or tau < 1e-12:
+                break
         if accepted:
-            u, lap_u, energy = cand, lap_cand, cand_energy
+            u, res_vec, residual, energy = cand, cand_vec, cand_residual, cand_energy
             newton_its += 1
         if polish or not accepted:
             break  # polished, or neither energy nor residual can improve
 
-    residual = float(np.abs(lap_u + np.asarray(g(u)) - rhs).sum()) * hd
     report = SolveReport(newton_its, residual, residual <= tol,
                          method="newton+cg", inner_iterations=inner_total)
     out = ScalarField(grid, u)
@@ -195,8 +192,11 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
 
     Iterates u_{k+1} = (-Lap_h + lam I)^{-1}(rhs + lam u_k - g(u_k))
     from the supersolution with lam >= max g' on the bracket; iterates
-    decrease pointwise and stay above the subsolution.
+    decrease pointwise and stay above the subsolution.  g is evaluated
+    once at each bound and once per iterate.
     """
+    tol = checks.real(tol, "tol", positive=True)
+    max_iter = checks.count(max_iter, "max_iter")
     rhs = rasterize(m, grid).values
     lo, hi = lower.values, upper.values
     if np.any(lo > hi + 1e-12):
@@ -204,7 +204,8 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     res_lo = _neg_lap(grid, lo) + np.asarray(g(lo)) - rhs
     if np.any(res_lo > ADMISSIBILITY_TOL):
         raise ValueError("invalid bracket: lower bound is not a subsolution")
-    res_hi = _neg_lap(grid, hi) + np.asarray(g(hi)) - rhs
+    gu = np.asarray(g(hi))
+    res_hi = _neg_lap(grid, hi) + gu - rhs
     if np.any(res_hi < -ADMISSIBILITY_TOL):
         raise ValueError("invalid bracket: upper bound is not a supersolution")
     lam = g.max_derivative(float(lo.min()), float(hi.max()))
@@ -212,7 +213,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     u = hi.copy()
     inner_total = 0
     for it in range(1, max_iter + 1):
-        target = rhs + lam * u - np.asarray(g(u))
+        target = rhs + lam * u - gu
         nxt, inner = _solve_shifted(grid, lam, target, atol_l1=max(tol * 1e-2, 1e-14))
         inner_total += inner
         if np.any(nxt > u + 1e-10):
@@ -222,8 +223,8 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             raise ConvergenceError("monotone iteration left the bracket",
                                    field=ScalarField(grid, nxt))
         u = nxt
-        res = _neg_lap(grid, u) + np.asarray(g(u)) - rhs
-        residual = _lp(res, 1.0, grid)
+        gu = np.asarray(g(u))
+        residual = _lp(_neg_lap(grid, u) + gu - rhs, 1.0, grid)
         if residual <= tol:
             report = SolveReport(it, residual, True, method="monotone+cg",
                                  inner_iterations=inner_total)

@@ -145,6 +145,14 @@ def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     residual = stencil(x, 2, n, 1.0 / h ** 2) + diag * x - b
     assert np.abs(residual).sum() * h * h <= 1e-12
 
+    # a capped run also reaches the stencil once, and reports the true
+    # residual of what it returns
+    calls.clear()
+    x, iters, res_l1, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h, 1e-12, 1e-12, 1)
+    assert (iters, converged, len(calls)) == (1, False, 1)
+    true_residual = b - (stencil(x, 2, n, 1.0 / h ** 2) + diag * x)
+    assert res_l1 == h ** 2 * float(np.abs(true_residual).sum())
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_shifted_systems())
@@ -255,15 +263,16 @@ def test_energy_never_increases_from_initial_iterate():
         assert e1 <= e0 + 1e-10 * (1.0 + abs(e0))
 
 
-def _count_primitive_calls(monkeypatch):
+def _count_calls(monkeypatch, method):
+    """Record every call of the Nonlinearity method of that name."""
     calls = []
-    primitive = Nonlinearity.primitive
+    original = getattr(Nonlinearity, method)
 
     def counting(self, t):
         calls.append(1)
-        return primitive(self, t)
+        return original(self, t)
 
-    monkeypatch.setattr(Nonlinearity, "primitive", counting)
+    monkeypatch.setattr(Nonlinearity, method, counting)
     return calls
 
 
@@ -281,7 +290,7 @@ def test_semilinear_makes_one_cold_start(monkeypatch):
         return _solve_shifted(grid, diag, *args, **kwargs)
 
     monkeypatch.setattr(measopt.solver, "_solve_shifted", counting)
-    primitive_calls = _count_primitive_calls(monkeypatch)
+    primitive_calls = _count_calls(monkeypatch, "primitive")
     rng = np.random.default_rng(29)
     grid = build_grid(2, 13)
     g = Nonlinearity.power(2.0)
@@ -296,6 +305,40 @@ def test_semilinear_makes_one_cold_start(monkeypatch):
         assert [np.ndim(d) for d in calls].count(0) == 1 and calls[0] == 0.0
         assert report.iterations + 1 <= len(calls) <= report.iterations + 2
         assert len(primitive_calls) <= report.iterations + 2
+
+
+def test_each_newton_trial_evaluates_g_and_G_once(monkeypatch):
+    # g and G are evaluated together at each trial point and nowhere else,
+    # whether the full step is taken or the line search halves it
+    g_calls = _count_calls(monkeypatch, "__call__")
+    primitive_calls = _count_calls(monkeypatch, "primitive")
+    full_step = (build_grid(2, 13), Nonlinearity.power(2.0),
+                 DiscreteMeasure.point((0.5, 0.5), 1.0))
+    halving = (build_grid(1, 9),
+               Nonlinearity.table([-1.0, 0.0, 0.1, 10.0], [-1.0, 0.0, 10.0, 10.5]),
+               DiscreteMeasure.point((0.5,), 1.0))
+    for grid, g, m in (full_step, halving):
+        g_calls.clear()
+        primitive_calls.clear()
+        _, report = solve_semilinear(grid, g, m)
+        assert report.converged
+        assert len(g_calls) == len(primitive_calls) >= report.iterations + 1
+    assert len(primitive_calls) > report.iterations + 2  # the table case halved
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", ["solve_linear", "solve_semilinear",
+                                   "solve_by_sub_supersolution"])
+def test_solvers_reject_bad_tol(entry, tol):
+    grid = build_grid(1, 7)
+    g = Nonlinearity.power(2.0)
+    m = _const_measure(grid, 1.0)
+    upper, _ = solve_linear(grid, m)
+    args = {"solve_linear": (grid, m),
+            "solve_semilinear": (grid, g, m),
+            "solve_by_sub_supersolution": (grid, g, m, zeros_field(grid), upper)}[entry]
+    with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+        getattr(measopt.solver, entry)(*args, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +531,35 @@ def test_monotone_iteration_matches_newton(monkeypatch):
     grid = build_grid(1, 9)
     g = Nonlinearity.table([-1.0, 0.0, 0.1, 10.0], [-1.0, 0.0, 10.0, 10.5])
     m = DiscreteMeasure.point((0.5,), 1.0)
-    primitive_calls = _count_primitive_calls(monkeypatch)
+    primitive_calls = _count_calls(monkeypatch, "primitive")
     u_newton, newton = solve_semilinear(grid, g, m)
     assert newton.converged and len(primitive_calls) > newton.iterations + 1
     upper, _ = solve_linear(grid, m)
     u_mono, report = solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper)
     assert report.converged
     assert float(np.abs(u_mono.values - u_newton.values).max()) <= 1e-12
+
+
+def test_monotone_iteration_evaluates_g_once_per_iterate(monkeypatch):
+    # once at each bound, then once per iterate, reused for the next step
+    grid = build_grid(2, 9)
+    g = Nonlinearity.power(2.0)
+    m = _const_measure(grid, 5.0)
+    upper, _ = solve_linear(grid, m)
+    g_calls = _count_calls(monkeypatch, "__call__")
+    _, report = solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper)
+    assert report.converged and report.iterations > 1
+    assert len(g_calls) == 2 + report.iterations
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_monotone_iteration_rejects_bad_max_iter(max_iter):
+    grid = build_grid(1, 7)
+    g = Nonlinearity.power(2.0)
+    m = _const_measure(grid, 1.0)
+    upper, _ = solve_linear(grid, m)
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper, max_iter=max_iter)
 
 
 def test_monotone_iteration_fixed_point():
