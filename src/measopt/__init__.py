@@ -15,9 +15,8 @@ mollified point sources under supercritical absorption.
 from .grid import (Grid, ScalarField, build_grid, constant_field,
                    interpolate_to, load_field, lp_norm, named_field,
                    neg_laplacian_apply, save_field, w11_norm, zeros_field)
-from .measures import (DiscreteMeasure, bump_kernel, describe,
-                       jordan_decompose, mollify, negate, rasterize, scale,
-                       tv_norm)
+from .measures import (DiscreteMeasure, bump_kernel, describe, mollify,
+                       negate, rasterize, scale, tv_norm)
 from .nonlinearity import Nonlinearity, nonlinearity_from_config
 from .solver import (ConvergenceError, LevelRecord, ReducedLimitResult,
                      SolveReport, TruncationCheck, lemma_truncation_check,
@@ -36,8 +35,8 @@ __all__ = [
     "Grid", "ScalarField", "build_grid", "constant_field", "interpolate_to",
     "load_field", "lp_norm", "named_field", "neg_laplacian_apply",
     "save_field", "w11_norm", "zeros_field",
-    "DiscreteMeasure", "bump_kernel", "describe", "jordan_decompose",
-    "mollify", "negate", "rasterize", "scale", "tv_norm",
+    "DiscreteMeasure", "bump_kernel", "describe", "mollify", "negate",
+    "rasterize", "scale", "tv_norm",
     "Nonlinearity", "nonlinearity_from_config",
     "ConvergenceError", "LevelRecord", "ReducedLimitResult", "SolveReport",
     "TruncationCheck", "lemma_truncation_check", "reduced_limit",

@@ -144,7 +144,7 @@ def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray) -> np.ndarra
     rhs = _misfit_gradient_density(prob, u_values)
     dg = np.maximum(np.asarray(prob.g.derivative(u_values)), 0.0)
     try:
-        phi, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=DEFAULT_TOL * 1e-2)
+        phi, _, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=DEFAULT_TOL * 1e-2)
     except ConvergenceError as exc:
         raise CostUnavailableError(f"gradient unavailable: {exc}",
                                    report=exc.report) from exc
@@ -256,23 +256,22 @@ class RegularityReport:
     improved_control: DiscreteMeasure | None
 
 
-def check_state_regularity(prob: ControlProblem, result: OptimResult,
-                           slack: float | None = None) -> RegularityReport:
+def check_state_regularity(prob: ControlProblem, result: OptimResult) -> RegularityReport:
     """Audit a minimizer candidate against the truncation argument.
 
     Clipping the state into [-||u_d||_inf, ||u_d||_inf] and re-reading
     its datum can only shrink both F terms at a true minimizer, so a
     material F decrease flags the candidate as non-optimal and the
-    truncated control is returned as the improvement.
+    truncated control is returned as the improvement.  ``result.slack``
+    is the F decrease that counts as material.
     """
     grid = prob.grid
-    slack = result.slack if slack is None else slack
     ud_inf = lp_norm(prob.u_d, math.inf)
     upper = constant_field(grid, ud_inf)
     z1, _ = truncate_min(result.u_star, upper, prob.g)
     z, nu = truncate_max(z1, constant_field(grid, -ud_inf), prob.g)
     f_trunc = prob.cost(z.values, nu)
-    improved = result.F_value - f_trunc > slack
+    improved = result.F_value - f_trunc > result.slack
     return RegularityReport(
         min_state=float(result.u_star.values.min()),
         max_abs_state=float(np.abs(result.u_star.values).max()),
@@ -280,7 +279,7 @@ def check_state_regularity(prob: ControlProblem, result: OptimResult,
         ud_nonnegative=bool(np.all(prob.u_d.values >= 0.0)),
         f_original=result.F_value,
         f_truncated=f_trunc,
-        slack=slack,
+        slack=result.slack,
         improved=improved,
         improved_control=nu if improved else None)
 

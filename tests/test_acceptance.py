@@ -8,6 +8,7 @@ that honestly instead of loosening the target (see the failing assertion
 rows of exp_dirac_collapse for the measured trajectory).
 """
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_criterion_04_truncation_inequalities(tmp_path):
     report = run_experiment("exp_truncation_suite", output_dir=tmp_path,
                             seed=42)
     status = {a.name: a.status for a in report.assertions}
-    summary = json.loads(open(report.summary_path).read())
+    summary = json.loads(Path(report.summary_path).read_text())
     ok = report.passed and set(status.values()) == {"pass"}
     assert _verdict(4, ok, "100 lemma and tv-comparison slacks nonnegative "
                     f"(minima {summary['results']['min_lemma_slack']:.3e}, "
@@ -105,7 +106,7 @@ def test_criterion_04_truncation_inequalities(tmp_path):
 
 
 def test_criterion_05_collapse_limits(collapse_report):
-    summary = json.loads(open(collapse_report.summary_path).read())
+    summary = json.loads(Path(collapse_report.summary_path).read_text())
     res = summary["results"]
     l1 = res["u_l1_supercritical"]
     gap2 = abs(res["f_final_p2"] - res["f_target_p2"]) / res["f_target_p2"]
@@ -121,7 +122,7 @@ def test_criterion_05_collapse_limits(collapse_report):
 
 def test_criterion_06_nonconvexity_margin(tmp_path):
     report = run_experiment("exp_nonconvexity", output_dir=tmp_path)
-    margin = json.loads(open(report.summary_path).read())["results"]["margin"]
+    margin = json.loads(Path(report.summary_path).read_text())["results"]["margin"]
     ok = report.passed and margin > 1e-6
     assert _verdict(6, ok, "midpoint cost exceeds averaged costs by "
                     f"{margin:.3e} > 1e-6")
@@ -208,7 +209,7 @@ def test_criterion_11_deterministic_reruns(tmp_path):
     r2 = run_experiment("exp_truncation_suite", params,
                         output_dir=tmp_path / "b", seed=11)
     pairs = list(zip(sorted(r1.tables), sorted(r2.tables)))
-    same = all(open(a, "rb").read() == open(b, "rb").read() for a, b in pairs)
+    same = all(Path(a).read_bytes() == Path(b).read_bytes() for a, b in pairs)
     ok = same and len(pairs) == 2
     assert _verdict(11, ok, "same-seed reruns produced byte-identical tables "
                     f"({len(pairs)} files compared)")

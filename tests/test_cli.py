@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import measopt.control
+import measopt.solver
 from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
                      build_grid, constant_field, load_field, named_field,
                      save_field, solve_semilinear)
@@ -65,7 +66,7 @@ def test_solve_writes_state_matching_direct_call(tmp_path, capsys):
     u_direct, direct_report = solve_semilinear(grid, Nonlinearity.power(2.0), m)
     assert np.array_equal(u.values, u_direct.values)
 
-    report = json.loads(open(out / "solve_report.json").read())
+    report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] is True
     assert report["iterations"] == direct_report.iterations
     assert report["inner_iterations"] == direct_report.inner_iterations > 0
@@ -206,13 +207,51 @@ def test_optimize_outputs_and_monotone_history(tmp_path, capsys):
     assert len(f_values) >= 2
     assert all(b < a for a, b in zip(f_values, f_values[1:]))
 
-    report = json.loads(open(out / "optimize_report.json").read())
+    report = json.loads((out / "optimize_report.json").read_text())
     assert report["f_value"] == f_values[-1]
     assert report["f_value"] <= report["f_zero"]
     assert report["iterations"] == len(f_values) - 1
 
     control = load_field(out / "control.f64")
     assert control.grid == build_grid(2, 9)
+
+
+def test_optimize_reads_u_d_from_a_field_file(tmp_path):
+    # a target saved to disk and read back by {"file": ...} is the named
+    # target bit for bit, so F is too
+    save_field(named_field(build_grid(2, 9), "sines", {"amplitude": 0.1}),
+               tmp_path / "u_d.f64")
+    reports = []
+    for u_d in (PROBLEM["u_d"], {"file": "u_d.f64"}):
+        path = _write_problem(tmp_path, dict(PROBLEM, u_d=u_d, optimizer={"max_iter": 3}))
+        out = tmp_path / f"opt{len(reports)}"
+        assert run_cli(["optimize", str(path), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "optimize_report.json").read_text()))
+    assert reports[0]["f_value"] == reports[1]["f_value"]
+    assert reports[0]["f_zero"] == reports[1]["f_zero"] > 0.0
+
+
+def test_optimize_rejects_u_d_file_on_another_grid(tmp_path, capsys):
+    save_field(named_field(build_grid(2, 7), "sines", {"amplitude": 0.1}),
+               tmp_path / "u_d.f64")
+    path = _write_problem(tmp_path, dict(PROBLEM, u_d={"file": "u_d.f64"}))
+    assert run_cli(["optimize", str(path), "--out", str(tmp_path / "opt")]) == 2
+    assert "field file grid does not match" in capsys.readouterr().err
+    assert not (tmp_path / "opt").exists()
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("optimize", dict(PROBLEM, u_d="sines"), "field spec must be an object"),
+    ("solve", dict(PROBLEM, measure={"density": ["constant"]}),
+     "field spec must be an object"),
+    ("solve", dict(PROBLEM, measure=[{"x": [0.5, 0.5], "w": 1.0}]),
+     "measure spec must be an object"),
+])
+def test_non_object_field_or_measure_spec_exits_two(tmp_path, capsys, command, doc, message):
+    path = _write_problem(tmp_path, doc)
+    assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_optimize_rejects_unknown_option(tmp_path, capsys):
@@ -281,6 +320,32 @@ def test_experiment_failure_exit_one(tmp_path, capsys):
                   "--out", str(tmp_path / "exp")])
     assert rc == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_collapse_schedule_failure_is_a_failed_row(tmp_path, monkeypatch, capsys):
+    # a state solve that fails at level 1 ends the schedule: the summary
+    # holds one failed row naming that level, and the exit code is 1
+    solve = measopt.solver.solve_semilinear
+
+    def failing_at_level_1(grid, g, m, *args, **kwargs):
+        if grid.n == 9:
+            raise ConvergenceError("no convergence: forced")
+        return solve(grid, g, m, *args, **kwargs)
+
+    monkeypatch.setattr(measopt.solver, "solve_semilinear", failing_at_level_1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": [5, 9]}), encoding="utf-8")
+    out = tmp_path / "exp"
+    rc = run_cli(["experiment", "exp_dirac_collapse", "--config", str(cfg),
+                  "--out", str(out)])
+    assert rc == 1
+    assert "[FAIL] schedule-convergence-supercritical" in capsys.readouterr().out
+    summary = json.loads((out / "exp_dirac_collapse" / "summary.json").read_text())
+    assert summary["passed"] is False
+    [row] = summary["assertions"]
+    assert row["name"] == "schedule-convergence-supercritical"
+    assert row["status"] == "fail"
+    assert row["detail"].startswith("supercritical schedule diverged at level 1: ")
 
 
 def test_experiment_unknown_name(tmp_path, capsys):

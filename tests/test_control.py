@@ -322,7 +322,7 @@ def test_regularity_truncation_never_improves_much():
         prob = _problem(grid, alpha=0.1, u_d=u_d, g=g)
         m = _density_measure(grid, rng.uniform(-1.0, 3.0, grid.total_interior))
         res = _result_for(prob, m)
-        rep = check_state_regularity(prob, res, slack=1e-9)
+        rep = check_state_regularity(prob, dataclasses.replace(res, slack=1e-9))
         assert rep.f_truncated <= rep.f_original + 1e-9
 
 
@@ -334,7 +334,7 @@ def test_regularity_flags_oversized_state():
     prob = _problem(grid, alpha=0.01, u_d=u_d, g=g)
     m = _density_measure(grid, np.full(grid.total_interior, 30.0))
     res = _result_for(prob, m)
-    rep = check_state_regularity(prob, res, slack=1e-6)
+    rep = check_state_regularity(prob, dataclasses.replace(res, slack=1e-6))
     assert rep.max_abs_state > rep.ud_inf
     assert rep.improved
     assert rep.improved_control is not None

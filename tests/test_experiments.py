@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_collapse_tables_written(collapse_report):
             first = fh.readline().strip().split(",")
         assert header[0] == "level"
         assert len(first) == len(header)
-    summary = json.loads(open(collapse_report.summary_path).read())
+    summary = json.loads(Path(collapse_report.summary_path).read_text())
     l1 = summary["results"]["u_l1_supercritical"]
     assert len(l1) == 4
     assert all(v > 0.0 for v in l1)
@@ -85,7 +86,7 @@ def test_collapse_tables_written(collapse_report):
 def test_nonconvexity_passes(tmp_path):
     report = run_experiment("exp_nonconvexity", output_dir=tmp_path)
     assert report.passed
-    summary = json.loads(open(report.summary_path).read())
+    summary = json.loads(Path(report.summary_path).read_text())
     assert summary["results"]["margin"] > 1e-6
 
 
@@ -122,11 +123,11 @@ def test_truncation_suite_passes_and_reruns_identically(tmp_path):
                             output_dir=tmp_path, seed=42)
     assert report.passed
     assert len(report.tables) == 2
-    first = {t: open(t, "rb").read() for t in report.tables}
+    first = {t: Path(t).read_bytes() for t in report.tables}
     again = run_experiment("exp_truncation_suite", params,
                            output_dir=tmp_path, seed=42)
     for t in again.tables:
-        assert open(t, "rb").read() == first[t]
+        assert Path(t).read_bytes() == first[t]
 
 
 def test_truncation_suite_seed_changes_tables(tmp_path):
@@ -135,8 +136,8 @@ def test_truncation_suite_seed_changes_tables(tmp_path):
                         output_dir=tmp_path / "a", seed=1)
     r2 = run_experiment("exp_truncation_suite", params,
                         output_dir=tmp_path / "b", seed=2)
-    b1 = open(r1.tables[0], "rb").read()
-    b2 = open(r2.tables[0], "rb").read()
+    b1 = Path(r1.tables[0]).read_bytes()
+    b2 = Path(r2.tables[0]).read_bytes()
     assert b1 != b2
 
 
@@ -173,7 +174,7 @@ def test_regularity_suite_passes(tmp_path):
 def test_mollification_stability_passes(tmp_path):
     report = run_experiment("exp_mollification_stability", output_dir=tmp_path)
     assert report.passed
-    summary = json.loads(open(report.summary_path).read())
+    summary = json.loads(Path(report.summary_path).read_text())
     values = summary["results"]["f_values"]
     target = summary["results"]["f_target"]
     assert abs(values[-1] - target) <= abs(values[0] - target) + 1e-12
@@ -194,7 +195,7 @@ def test_mollification_of_zero_measure_is_exact():
 
 def test_summary_schema_and_assertion_hygiene(tmp_path):
     report = run_experiment("exp_nonconvexity", {"n": 9}, output_dir=tmp_path)
-    summary = json.loads(open(report.summary_path).read())
+    summary = json.loads(Path(report.summary_path).read_text())
     assert set(summary) >= {"schema", "name", "seed", "parameters",
                             "assertions", "tables", "passed"}
     assert summary["schema"] == 1

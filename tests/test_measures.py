@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measopt import (DiscreteMeasure, ScalarField,
                      build_grid, bump_kernel, constant_field, describe,
-                     jordan_decompose, lp_norm, mollify, negate, rasterize,
+                     lp_norm, mollify, negate, rasterize,
                      scale, tv_norm, zeros_field)
 
-from _oracle import weak_star_pairing
+from _oracle import jordan_decompose, weak_star_pairing
 
 
 def _random_measure(rng, grid, n_atoms=3):
@@ -143,6 +145,59 @@ def test_mollify_rejects_under_resolved_radius():
         mollify(DiscreteMeasure.point((0.5, 0.5), 1.0), 1.9 * g.h, g)
 
 
+def test_mollify_rejects_density_on_another_grid():
+    # the convolution would read a field of another shape without complaint
+    dens = constant_field(build_grid(2, 33), 1.0)
+    with pytest.raises(ValueError, match="different grid"):
+        mollify(DiscreteMeasure.from_density(dens), 0.2, build_grid(2, 17))
+
+
+_MAX_N = {1: 40, 2: 16, 3: 7}
+
+
+@st.composite
+def _mollification_cases(draw):
+    dim = draw(st.integers(1, 3))
+    grid = build_grid(dim, draw(st.integers(1, _MAX_N[dim])))
+    radius = draw(st.floats(2.0, 6.0)) * grid.h
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def signed_measure():
+        atoms = tuple((tuple(rng.uniform(0.01, 0.99, dim)), 2.0 * rng.normal())
+                      for _ in range(rng.integers(0, 4)))
+        dens = None
+        if rng.random() < 0.8:
+            dens = ScalarField(grid, 2.0 * rng.standard_normal(grid.total_interior))
+        return DiscreteMeasure(dim, atoms=atoms, density=dens)
+
+    a, b = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    return grid, radius, signed_measure(), signed_measure(), a, b
+
+
+def _combination(grid, a, m1, b, m2):
+    """The measure a m1 + b m2."""
+    dens = [c * m.density.values for c, m in ((a, m1), (b, m2)) if m.density is not None]
+    return DiscreteMeasure(grid.dim, atoms=scale(m1, a).atoms + scale(m2, b).atoms,
+                           density=ScalarField(grid, sum(dens)) if dens else None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_mollification_cases())
+def test_mollify_is_linear_mass_exact_and_tv_bounded(case):
+    grid, radius, m1, m2, a, b = case
+    f1, f2 = mollify(m1, radius, grid).values, mollify(m2, radius, grid).values
+    combined = mollify(_combination(grid, a, m1, b, m2), radius, grid).values
+    top = abs(a) * np.abs(f1).max() + abs(b) * np.abs(f2).max()
+    np.testing.assert_allclose(combined, a * f1 + b * f2, rtol=0.0, atol=1e-12 * (1.0 + top))
+
+    pos, neg = (mollify(part, radius, grid).values for part in jordan_decompose(m1))
+    top = np.abs(pos).max() + np.abs(neg).max()
+    np.testing.assert_allclose(f1, pos - neg, rtol=0.0, atol=1e-12 * (1.0 + top))
+
+    assert float(f1.sum()) * grid.cell_volume == pytest.approx(m1.total_mass(), abs=1e-10)
+    assert lp_norm(ScalarField(grid, f1), 1.0) <= tv_norm(m1) + 1e-10
+
+
 def test_mollify_signed_tv_bound():
     rng = np.random.default_rng(29)
     g = build_grid(2, 17)
@@ -156,34 +211,34 @@ def test_mollify_signed_tv_bound():
 
 def test_mollify_density_matches_direct_convolution():
     # independent O(N^2) pairwise oracle for the density path: kernel
-    # evaluated between nodes and boundary-folded source images
+    # evaluated between nodes and boundary-folded source images, for a
+    # positive and a signed density
     rng = np.random.default_rng(31)
     g = build_grid(2, 33)
     n, h = g.n, g.h
     radius = 0.11
-    dens = ScalarField(g, rng.uniform(0.2, 1.0, g.total_interior))
-    m = DiscreteMeasure.from_density(dens)
-    f = mollify(m, radius, g)
-
     reach = int(math.floor(radius / h))
     ext = np.arange(-reach, n + reach)
     folded = np.where(ext < 0, -1 - ext, np.where(ext >= n, 2 * n - 1 - ext, ext))
     e1, e2 = np.meshgrid(ext, ext, indexing="ij")
     src_pos = (np.stack([e1.reshape(-1), e2.reshape(-1)], axis=1) + 1) * h
     f1, f2 = np.meshgrid(folded, folded, indexing="ij")
-    src_val = dens.reshaped()[f1.reshape(-1), f2.reshape(-1)]
-
     diff = g.node_coords()[:, None, :] - src_pos[None, :, :]
     kmat = bump_kernel((diff ** 2).sum(axis=2) / radius ** 2)
     offs = np.arange(-reach, reach + 1) * h
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
     s_full = bump_kernel((ox ** 2 + oy ** 2) / radius ** 2).sum()
-    conv = kmat @ src_val / s_full
-    conv *= float(dens.values.sum()) / conv.sum()
-    np.testing.assert_allclose(f.values, conv, rtol=1e-10, atol=1e-12)
-    # exact mass preservation even for a boundary-heavy density
-    assert float(f.values.sum()) * g.cell_volume == pytest.approx(
-        m.total_mass(), abs=1e-12)
+
+    for values in (rng.uniform(0.2, 1.0, g.total_interior),
+                   rng.standard_normal(g.total_interior)):
+        dens = ScalarField(g, values)
+        m = DiscreteMeasure.from_density(dens)
+        f = mollify(m, radius, g)
+        conv = kmat @ dens.reshaped()[f1.reshape(-1), f2.reshape(-1)] / s_full
+        np.testing.assert_allclose(f.values, conv, rtol=1e-10, atol=1e-12)
+        # exact mass preservation even for a boundary-heavy density
+        assert float(f.values.sum()) * g.cell_volume == pytest.approx(
+            m.total_mass(), abs=1e-12)
 
 
 def test_mollify_constant_density_plateau():

@@ -154,12 +154,32 @@ def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     assert res_l1 == h ** 2 * float(np.abs(true_residual).sum())
 
 
+def test_solve_linear_applies_the_stencil_once(monkeypatch):
+    # the reported residual is the one CG's true-residual check computed
+    calls = []
+    stencil = measopt.kernels.neg_laplacian_numpy
+
+    def counting(*args):
+        calls.append(1)
+        return stencil(*args)
+
+    monkeypatch.setattr(measopt.kernels, "neg_laplacian", counting)
+    monkeypatch.setattr(measopt.kernels, "neg_laplacian_numpy", counting)
+    grid = build_grid(2, 15)
+    m = DiscreteMeasure.point((0.3, 0.6), 1.0)
+    u, report = solve_linear(grid, m)
+    assert len(calls) == 1
+    assert report.converged
+    residual = neg_laplacian_apply(u).values - rasterize(m, grid).values
+    assert report.final_residual == lp_norm(ScalarField(grid, residual), 1.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_shifted_systems())
 def test_solve_shifted_matches_sparse_direct(system):
     grid, diag, rhs = system
     atol = 1e-10
-    x, iters = _solve_shifted(grid, diag, rhs, atol_l1=atol)
+    x, iters, _ = _solve_shifted(grid, diag, rhs, atol_l1=atol)
     if np.ndim(diag) == 0:
         assert iters <= 1  # the sine-transform preconditioner is exact here
     ref = _solve_direct(grid, diag, rhs)
