@@ -98,9 +98,13 @@ def _load_doc(path) -> dict:
     return doc
 
 
+def _section(doc: dict, key: str, default=None) -> dict:
+    if not isinstance(value := doc.get(key, default), dict):
+        raise ValueError(f"invalid config: {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _parse_field(doc, grid, base: Path):
-    if not isinstance(doc, dict):
-        raise ValueError("field spec must be an object")
     if "file" in doc:
         f = load_field(base / doc["file"])
         if f.grid != grid:
@@ -116,8 +120,6 @@ def _atom_location(x, dim: int) -> tuple:
 
 
 def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
-    if not isinstance(doc, dict):
-        raise ValueError("measure spec must be an object")
     atoms = tuple((_atom_location(a["x"], grid.dim), real(a["w"], "w"))
                   for a in doc.get("atoms", []))
     density = None
@@ -126,15 +128,16 @@ def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
         if density.grid != grid:
             raise ValueError("measure density grid does not match the problem grid")
     elif "density" in doc:
-        density = _parse_field(doc["density"], grid, base)
+        density = _parse_field(_section(doc, "density"), grid, base)
     return DiscreteMeasure(grid.dim, atoms=atoms, density=density)
 
 
 def _problem_parts(path):
     base = Path(path).parent
     doc = _load_doc(path)
-    grid = build_grid(doc["grid"]["dim"], doc["grid"]["n"])
-    g = nonlinearity_from_config(doc["g"])
+    grid_doc = _section(doc, "grid")
+    grid = build_grid(grid_doc["dim"], grid_doc["n"])
+    g = nonlinearity_from_config(_section(doc, "g"))
     return doc, grid, g, base
 
 
@@ -144,7 +147,7 @@ def _problem_parts(path):
 
 def _cmd_solve(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
-    m = _parse_measure(doc.get("measure", {}), grid, base)
+    m = _parse_measure(_section(doc, "measure", {}), grid, base)
     tol = real(doc.get("tol", 1e-10), "tol", positive=True)
     print(describe(m))
     u, report = solve_semilinear(grid, g, m, tol=tol)
@@ -166,10 +169,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_optimize(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
-    u_d = _parse_field(doc.get("u_d", {"name": "zero"}), grid, base)
+    u_d = _parse_field(_section(doc, "u_d", {"name": "zero"}), grid, base)
     prob = ControlProblem(grid, g, u_d, real(doc.get("p", 2.0), "p", allow_inf=True),
                           real(doc["alpha"], "alpha"))
-    opt = doc.get("optimizer", {})
+    opt = _section(doc, "optimizer", {})
     bad = set(opt) - {f.name for f in dataclasses.fields(OptimizeConfig)}
     if bad:
         raise ValueError(f"unknown optimizer option(s): {', '.join(sorted(bad))}")

@@ -15,7 +15,9 @@ accepts it: the Armijo decrease, or for a full step a smaller residual.
 A monotone sub- and supersolution iteration is available as an
 independent solve mode.
 Residuals are always measured in the quadrature-weighted discrete L1
-norm, matching the measure-space reading of the right-hand side.
+norm, matching the measure-space reading of the right-hand side, and
+accepted at the caller's tolerance or at the rounding floor of their own
+evaluation (``kernels.rounding_floor``), in CG and Newton alike.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .measures import DiscreteMeasure, negate, rasterize, tv_norm
 from .nonlinearity import Nonlinearity
 
 DEFAULT_TOL = 1e-10
-CG_RTOL = 1e-12
 NEWTON_MAX = 100
 ADMISSIBILITY_TOL = 1e-8    # slack for sub/supersolution sign checks
 
@@ -74,7 +75,7 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float):
     """
     x, iters, res_l1, converged = kernels.cg_shifted(
         rhs, np.asarray(diag, dtype=np.float64), grid.dim, grid.n, grid.h,
-        atol_l1, CG_RTOL, maxiter=40 * grid.n + 200)
+        atol_l1, maxiter=40 * grid.n + 200)
     if not converged:
         raise ConvergenceError(
             f"no convergence: cg stalled at weighted-L1 residual {res_l1:.3e}",
@@ -97,11 +98,7 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     tol = checks.real(tol, "tol", positive=True)
     rhs = rasterize(m, grid).values
     x, inner, res = _solve_shifted(grid, 0.0, rhs, atol_l1=tol)
-    report = SolveReport(1, res, res <= tol, method="cg", inner_iterations=inner)
-    if not report.converged:
-        raise ConvergenceError(f"no convergence: linear residual {res:.3e} > {tol:.1e}",
-                               report=report, field=ScalarField(grid, x))
-    return ScalarField(grid, x), report
+    return ScalarField(grid, x), SolveReport(1, res, True, method="cg", inner_iterations=inner)
 
 
 def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray):
@@ -127,17 +124,20 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     A trial is accepted when it passes the Armijo test on the energy,
     or, for a full step, when it lowers the residual: near the fixed
     point the energy decrement drops below rounding.  Once the residual
-    reaches tol, one polishing step follows: a single full step, never
-    halved, kept by the same test.  It pushes the iterate to essentially
-    machine accuracy, which the maximum principle and gradient checks
-    downstream rely on, and the iteration ends after it.  An iterate at
-    which g is not finite ends the solve with a ConvergenceError that
-    carries that iterate.
+    reaches tol, or the rounding floor of rhs and u0 (sum |g(u)| is at
+    most sum |rhs| by absorption), one polishing step follows: a single
+    full step, never halved, kept by the same test.  It pushes the
+    iterate to essentially machine accuracy, which the maximum principle
+    and gradient checks downstream rely on, and the iteration ends after
+    it, or before it if the residual is below the inner tolerance
+    tol * 1e-2, where the step would be zero.  An iterate at which g is
+    not finite ends the solve with a ConvergenceError that carries it.
     """
     tol = checks.real(tol, "tol", positive=True)
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
     u, inner_total, _ = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
+    accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.h))
 
     res_vec, residual, energy = _evaluate(grid, g, rhs, u)
     newton_its = 0
@@ -148,14 +148,15 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             raise ConvergenceError(f"no convergence: g returned a non-finite value after "
                                    f"{newton_its} newton iterations", report=report,
                                    field=ScalarField(grid, u))
-        polish = residual <= tol
+        if residual <= tol * 1e-2:
+            break  # the polishing solve would return a zero step
+        polish = residual <= accept
         dg = np.asarray(g.derivative(u))
         if np.any(dg < -1e-12):
             raise ValueError("invalid nonlinearity: negative derivative detected during solve")
         dg = np.maximum(dg, 0.0)
         try:
-            delta, inner, _ = _solve_shifted(grid, dg, -res_vec,
-                                             atol_l1=max(tol * 1e-2, 1e-14))
+            delta, inner, _ = _solve_shifted(grid, dg, -res_vec, atol_l1=tol * 1e-2)
         except ConvergenceError as exc:
             exc.field = ScalarField(grid, u)
             raise
@@ -176,12 +177,12 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         if polish or not accepted:
             break  # polished, or neither energy nor residual can improve
 
-    report = SolveReport(newton_its, residual, residual <= tol,
+    report = SolveReport(newton_its, residual, residual <= accept,
                          method="newton+cg", inner_iterations=inner_total)
     out = ScalarField(grid, u)
     if not report.converged:
         raise ConvergenceError(
-            f"no convergence: newton residual {residual:.3e} > {tol:.1e} "
+            f"no convergence: newton residual {residual:.3e} > {accept:.1e} "
             f"after {newton_its} iterations", report=report, field=out)
     return out, report
 
@@ -215,7 +216,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     inner_total = 0
     for it in range(1, max_iter + 1):
         target = rhs + lam * u - gu
-        nxt, inner, _ = _solve_shifted(grid, lam, target, atol_l1=max(tol * 1e-2, 1e-14))
+        nxt, inner, _ = _solve_shifted(grid, lam, target, atol_l1=tol * 1e-2)
         inner_total += inner
         if np.any(nxt > u + 1e-10):
             raise ConvergenceError("monotone iteration failed to decrease",

@@ -216,6 +216,17 @@ def test_optimize_outputs_and_monotone_history(tmp_path, capsys):
     assert control.grid == build_grid(2, 9)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 1023), (2, 127), (2, 255)])
+def test_optimize_runs_on_fine_grids(tmp_path, dim, n):
+    # the adjoint asks for a weighted-L1 residual of 1e-12, below the
+    # rounding floor of these grids; it is met at the floor
+    doc = dict(PROBLEM, grid={"dim": dim, "n": n}, optimizer={"max_iter": 3})
+    out = tmp_path / "opt"
+    assert run_cli(["optimize", str(_write_problem(tmp_path, doc)), "--out", str(out)]) == 0
+    report = json.loads((out / "optimize_report.json").read_text())
+    assert np.isfinite(report["f_value"]) and report["f_value"] <= report["f_zero"]
+
+
 def test_optimize_reads_u_d_from_a_field_file(tmp_path):
     # a target saved to disk and read back by {"file": ...} is the named
     # target bit for bit, so F is too
@@ -240,17 +251,27 @@ def test_optimize_rejects_u_d_file_on_another_grid(tmp_path, capsys):
     assert not (tmp_path / "opt").exists()
 
 
-@pytest.mark.parametrize("command,doc,message", [
-    ("optimize", dict(PROBLEM, u_d="sines"), "field spec must be an object"),
-    ("solve", dict(PROBLEM, measure={"density": ["constant"]}),
-     "field spec must be an object"),
-    ("solve", dict(PROBLEM, measure=[{"x": [0.5, 0.5], "w": 1.0}]),
-     "measure spec must be an object"),
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "grid", [2, 17]),
+    ("optimize", "grid", [2, 17]),
+    ("solve", "g", [3]),
+    ("solve", "g", "power"),
+    ("optimize", "g", None),
+    ("optimize", "g", [3]),
+    ("solve", "measure", [{"x": [0.5, 0.5], "w": 1.0}]),
+    ("solve", "density", ["constant"]),
+    ("optimize", "u_d", "sines"),
+    ("optimize", "optimizer", None),
+    ("optimize", "optimizer", [1]),
 ])
-def test_non_object_field_or_measure_spec_exits_two(tmp_path, capsys, command, doc, message):
+def test_non_object_problem_section_exits_two_and_names_its_key(tmp_path, capsys, command,
+                                                                key, value):
+    # "density" is the one nested section, inside "measure"
+    doc = (dict(PROBLEM, measure={"density": value}) if key == "density"
+           else dict(PROBLEM, **{key: value}))
     path = _write_problem(tmp_path, doc)
     assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
-    assert message in capsys.readouterr().err
+    assert f"{key!r} must be a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -139,7 +139,8 @@ def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     x1, x2 = np.meshgrid(np.arange(1, n + 1) * h, np.arange(1, n + 1) * h, indexing="ij")
     diag = (1.0 + 500.0 * np.exp(-((x1 - 0.3) ** 2 + (x2 - 0.6) ** 2) / 0.01)).reshape(-1)
     b = np.random.default_rng(5).standard_normal(n * n)
-    x, iters, _, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h, 1e-12, 1e-12, 200)
+    x, iters, _, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h,
+                                                        atol_l1=1e-12, maxiter=200)
     assert converged and iters >= 3
     assert len(calls) == 1
     residual = stencil(x, 2, n, 1.0 / h ** 2) + diag * x - b
@@ -148,7 +149,8 @@ def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     # a capped run also reaches the stencil once, and reports the true
     # residual of what it returns
     calls.clear()
-    x, iters, res_l1, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h, 1e-12, 1e-12, 1)
+    x, iters, res_l1, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h,
+                                                             atol_l1=1e-12, maxiter=1)
     assert (iters, converged, len(calls)) == (1, False, 1)
     true_residual = b - (stencil(x, 2, n, 1.0 / h ** 2) + diag * x)
     assert res_l1 == h ** 2 * float(np.abs(true_residual).sum())
@@ -175,17 +177,37 @@ def test_solve_linear_applies_the_stencil_once(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_shifted_systems())
-def test_solve_shifted_matches_sparse_direct(system):
+@given(_shifted_systems(), st.sampled_from([1e-10, 1e-13, 1e-16]))
+def test_solve_shifted_matches_sparse_direct(system, atol):
+    # a tolerance below the rounding floor is met at the floor, never raises
     grid, diag, rhs = system
-    atol = 1e-10
     x, iters, _ = _solve_shifted(grid, diag, rhs, atol_l1=atol)
     if np.ndim(diag) == 0:
         assert iters <= 1  # the sine-transform preconditioner is exact here
     ref = _solve_direct(grid, diag, rhs)
     np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
     residual = neg_laplacian_apply(ScalarField(grid, x)).values + diag * x - rhs
-    assert lp_norm(ScalarField(grid, residual), 1.0) <= atol
+    floor = measopt.kernels.rounding_floor(rhs, x, diag * x, grid.dim, grid.h)
+    assert lp_norm(ScalarField(grid, residual), 1.0) <= max(atol, floor)
+
+
+@pytest.mark.parametrize("solve", ["linear", "semilinear"])
+def test_tolerance_below_the_rounding_floor_is_met_at_the_floor(solve):
+    # on 1-D n = 1023 a weighted-L1 residual of 1e-12 is below the rounding
+    # error of evaluating it; the semilinear floor bounds sum |g(u)| by
+    # sum |rhs| (absorption)
+    grid = build_grid(1, 1023)
+    m = _random_signed_measure(np.random.default_rng(31), grid)
+    rhs = rasterize(m, grid).values
+    if solve == "linear":
+        u, report = solve_linear(grid, m, tol=1e-12)
+        f_bound = 0.0
+    else:
+        u, report = solve_semilinear(grid, Nonlinearity.power(3.0), m, tol=1e-12)
+        f_bound = rhs
+    assert report.converged
+    assert report.final_residual <= measopt.kernels.rounding_floor(rhs, u.values, f_bound,
+                                                                   grid.dim, grid.h)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +222,7 @@ def test_semilinear_zero_g_reduces_to_linear():
     u_non, report = solve_semilinear(g, Nonlinearity.zero(), m)
     np.testing.assert_allclose(u_non.values, u_lin.values, atol=1e-12)
     assert report.converged
+    assert report.iterations == 0  # u0's residual is below tol * 1e-2: no zero step
 
 
 def test_semilinear_linear_g_matches_dense_oracle():
