@@ -113,15 +113,21 @@ def _parse_field(doc, grid, base: Path):
     return named_field(grid, doc.get("name", "zero"), doc)
 
 
-def _atom_location(x, dim: int) -> tuple:
-    if not isinstance(x, list) or len(x) != dim:
-        raise ValueError(f"invalid config: x must be a list of {dim} reals, got {x!r}")
-    return tuple(real(c, "x") for c in x)
+def _atom(a, dim: int) -> tuple:
+    if not isinstance(a, dict) or set(a) != {"x", "w"}:
+        raise ValueError(f"invalid config: each entry of atoms must be an object with "
+                         f"keys x and w, got {a!r}")
+    x = a["x"]
+    if not (isinstance(x, list) and len(x) == dim and all(0.0 < real(c, "x") < 1.0 for c in x)):
+        raise ValueError(f"invalid config: x must be a list of {dim} reals inside the open "
+                         f"unit box, got {x!r}")
+    return tuple(float(c) for c in x), real(a["w"], "w")
 
 
 def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
-    atoms = tuple((_atom_location(a["x"], grid.dim), real(a["w"], "w"))
-                  for a in doc.get("atoms", []))
+    if not isinstance(atoms := doc.get("atoms", []), list):
+        raise ValueError(f"invalid config: atoms must be a list of objects, got {atoms!r}")
+    atoms = tuple(_atom(a, grid.dim) for a in atoms)
     density = None
     if "density_file" in doc:
         density = load_field(base / doc["density_file"])

@@ -1,13 +1,15 @@
 """Total-variation regularized control of the semilinear Dirichlet problem.
 
 The objective is F(mu) = ||u(mu) - u_d||_{L^p,h} + alpha * tv(mu) over
-measures represented by density fields on the problem grid.  A proximal
-gradient loop drives it: the misfit gradient comes from one adjoint
-solve, the total-variation term from componentwise soft thresholding.
-For p = 1 the misfit is Huber-smoothed and for p = inf log-sum-exp
-smoothed when differentiating; reported F values always use the true
-norm, through ``ControlProblem.cost``.  Every run starts from the zero
-control, so its result never exceeds F(0).
+measures represented by density fields on the problem grid.
+``_evaluate`` solves the state of a control once, into the record
+``Evaluation(m, u, f)`` that the cost, the gradient and the optimizer
+read.  A proximal gradient loop drives F down: the misfit gradient comes
+from one adjoint solve at u, the total-variation term from componentwise
+soft thresholding.  For p = 1 the misfit is Huber-smoothed and for
+p = inf log-sum-exp smoothed when differentiating; reported F values
+always use the true norm, through ``ControlProblem.cost``.  Every run
+starts from the zero control, so its result never exceeds F(0).
 
 The line search starts at step STEP0, multiplies the step by BACKTRACK
 after each rejected trial (at most MAX_BACKTRACKS trials per iteration)
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _lp, constant_field, lp_norm
+from .grid import Grid, ScalarField, _lp, constant_field, lp_norm, zeros_field
 from .measures import DiscreteMeasure, tv_norm
 from .nonlinearity import Nonlinearity
 from .solver import (DEFAULT_TOL, ConvergenceError, _solve_shifted,
@@ -100,23 +102,29 @@ class OptimizeConfig:
             raise ValueError(f"invalid config: max_iter must be >= 0, got {self.max_iter!r}")
 
 
-def _solve_state(prob: ControlProblem, m: DiscreteMeasure) -> ScalarField:
-    """The state of m; a failed solve leaves F(m) without a finite value."""
+@dataclass(frozen=True)
+class Evaluation:
+    m: DiscreteMeasure
+    u: ScalarField
+    f: float
+
+
+def _evaluate(prob: ControlProblem, m: DiscreteMeasure) -> Evaluation:
+    """Solve the state of m once; a failed solve leaves F(m) without a finite value."""
     try:
         u, _ = solve_semilinear(prob.grid, prob.g, m)
     except ConvergenceError as exc:
         raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
-    return u
+    return Evaluation(m, u, prob.cost(u.values, m))
 
 
 def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure) -> float:
     """F(m) = misfit of the state plus alpha times the tv norm."""
-    return prob.cost(_solve_state(prob, m).values, m)
+    return _evaluate(prob, m).f
 
 
 def _smoothing_width(prob: ControlProblem) -> float:
-    scale = lp_norm(prob.u_d, math.inf)
-    return 1e-3 * scale if scale > 0.0 else 1e-3
+    return 1e-3 * (lp_norm(prob.u_d, math.inf) or 1.0)
 
 
 def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:
@@ -159,8 +167,7 @@ def adjoint_gradient(prob: ControlProblem, m: DiscreteMeasure) -> ScalarField:
     the h^dim-weighted inner product, so directional derivatives are
     recovered as <phi, direction>_h.
     """
-    u = _solve_state(prob, m)
-    return ScalarField(prob.grid, _adjoint_from_state(prob, u.values))
+    return ScalarField(prob.grid, _adjoint_from_state(prob, _evaluate(prob, m).u.values))
 
 
 def prox_l1(v: ScalarField, threshold: float) -> ScalarField:
@@ -187,45 +194,31 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     """
     cfg = config or OptimizeConfig()
     grid = prob.grid
-    hd = grid.cell_volume
-
-    def measure_of(c_values):
-        return DiscreteMeasure.from_density(ScalarField(grid, c_values))
-
-    def cost_of(c_values):
-        m = measure_of(c_values)
-        u_values = _solve_state(prob, m).values
-        return u_values, prob.cost(u_values, m)
-
-    f_zero = prob.misfit(np.zeros(grid.total_interior))
-    c = np.zeros(grid.total_interior)
-    u_vals, f_cur = cost_of(c)
-
-    phi = _adjoint_from_state(prob, u_vals)
-    history = [HistoryEntry(0, f_cur, _lp(phi, 2.0, grid), 0.0)]
+    cur = _evaluate(prob, DiscreteMeasure.from_density(zeros_field(grid)))
+    f_zero = cur.f  # g(0) = 0, so the zero control has state 0 and F = misfit
+    phi = _adjoint_from_state(prob, cur.u.values)
+    history = [HistoryEntry(0, cur.f, _lp(phi, 2.0, grid), 0.0)]
     tau = STEP0
     converged = False
     last_rel = math.inf
     for it in range(1, cfg.max_iter + 1):
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            c_try = prox_l1(ScalarField(grid, c - tau * phi), tau * prob.alpha * hd).values
+            c_try = prox_l1(ScalarField(grid, cur.m.density.values - tau * phi),
+                            tau * prob.alpha * grid.cell_volume)
             try:
-                u_try, f_try = cost_of(c_try)
+                trial = _evaluate(prob, DiscreteMeasure.from_density(c_try))
             except CostUnavailableError:
-                tau *= BACKTRACK
-                continue
-            if f_try < f_cur:
-                accepted = True
+                trial = None  # a failed state solve rejects the trial
+            if trial is not None and trial.f < cur.f:
                 break
             tau *= BACKTRACK
-        if not accepted:
+        else:
             converged = True  # prox-stationary within line-search resolution
             break
-        last_rel = (f_cur - f_try) / max(abs(f_cur), 1e-300)
-        c, u_vals, f_cur = c_try, u_try, f_try
-        phi = _adjoint_from_state(prob, u_vals)
-        history.append(HistoryEntry(it, f_cur, _lp(phi, 2.0, grid), tau))
+        last_rel = (cur.f - trial.f) / max(abs(cur.f), 1e-300)
+        cur = trial
+        phi = _adjoint_from_state(prob, cur.u.values)
+        history.append(HistoryEntry(it, cur.f, _lp(phi, 2.0, grid), tau))
         tau *= STEP_GROW
         if last_rel < F_RTOL:
             converged = True
@@ -233,11 +226,11 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
 
     slack = max(1e-6, 10.0 * last_rel if math.isfinite(last_rel) else 1e-6)
     return OptimResult(
-        mu_star=measure_of(c),
-        u_star=ScalarField(grid, u_vals),
-        F_value=f_cur,
+        mu_star=cur.m,
+        u_star=cur.u,
+        F_value=cur.f,
         history=history,
-        sparsity=float(np.mean(np.abs(c) < 1e-12)),
+        sparsity=float(np.mean(np.abs(cur.m.density.values) < 1e-12)),
         converged=converged,
         slack=slack,
         f_zero=f_zero)

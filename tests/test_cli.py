@@ -134,6 +134,27 @@ def test_solve_rejects_atom_x_that_is_not_a_dim_list(tmp_path, capsys, x):
     assert not (tmp_path / "run").exists()
 
 
+ENTRY = "each entry of atoms must be an object with keys x and w"
+
+
+@pytest.mark.parametrize("atoms,message", [
+    ([1], ENTRY),
+    ("x", "atoms must be a list of objects"),
+    ({"x": 1}, "atoms must be a list of objects"),
+    ([{"x": [0.5, 0.5]}], ENTRY),
+    ([{"w": 1.0}], ENTRY),
+    ([{"x": [0.5, 0.5], "w": 1.0, "y": 0}], ENTRY),
+    ([{"x": [0.5, 1.0], "w": 1.0}], "x must be a list of 2 reals inside the open unit box"),
+], ids=["int-entry", "string", "object", "no-w", "no-x", "extra-key", "outside-box"])
+def test_solve_rejects_malformed_atoms_naming_the_key(tmp_path, capsys, atoms, message):
+    # these used to exit with messages naming no key, such as "'w'"
+    doc = dict(PROBLEM, measure={"atoms": atoms})
+    path = _write_problem(tmp_path, doc)
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("sidecar,key", [({"dim": 2.0, "n": 9.9}, "dim"),
                                          ({"dim": 2, "n": 9.9}, "n"),
                                          ({"dim": True, "n": 81}, "dim"),

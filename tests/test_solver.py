@@ -595,6 +595,22 @@ def test_monotone_iteration_evaluates_g_once_per_iterate(monkeypatch):
     assert len(g_calls) == 2 + report.iterations
 
 
+def test_monotone_iteration_accepts_the_rounding_floor():
+    # on 1-D n = 1023 the residual stalls at 1.6e-10, above tol = 1e-10 but
+    # below the rounding floor of its own evaluation (about 7.8e-10)
+    grid = build_grid(1, 1023)
+    g = Nonlinearity.power(3.0)
+    m = DiscreteMeasure.point((0.3,), 1.0)
+    upper, _ = solve_linear(grid, m)
+    u, report = solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper, max_iter=300)
+    floor = measopt.kernels.rounding_floor(
+        rasterize(m, grid).values, u.values, g(u.values), grid.dim, grid.h)
+    assert report.converged and report.iterations < 300
+    assert report.final_residual <= floor
+    u_newton, _ = solve_semilinear(grid, g, m)
+    assert float(np.abs(u.values - u_newton.values).max()) <= 1e-8
+
+
 @pytest.mark.parametrize("max_iter", [0, -3])
 def test_monotone_iteration_rejects_bad_max_iter(max_iter):
     grid = build_grid(1, 7)

@@ -52,3 +52,35 @@ def test_cg_signature_matches_the_cg_observer():
     # the tracer's cg observer reads dim and n as positional args[2] and args[3]
     params = list(inspect.signature(measopt.kernels.cg_shifted).parameters)
     assert params[:4] == ["b", "diag", "dim", "n"]
+
+
+def test_optimize_solves_through_the_names_the_tracer_counts(monkeypatch):
+    # The tracer counts control.state_solves as solve_semilinear calls whose
+    # parent span is control.optimize, and cross-checks one adjoint solve
+    # per history entry; a wrapped name between them hides the solves.
+    control = measopt.control
+    counts = {"solve_semilinear": 0, "_solve_shifted": 0}
+
+    def counted(name):
+        real = getattr(control, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize must not call a wrapped cost or gradient")
+
+    for name in counts:
+        monkeypatch.setattr(control, name, counted(name))
+    monkeypatch.setattr(control, "evaluate_cost", forbidden)
+    monkeypatch.setattr(control, "adjoint_gradient", forbidden)
+    grid = measopt.build_grid(2, 9)
+    prob = control.ControlProblem(grid, measopt.Nonlinearity.power(2.0),
+                                  measopt.named_field(grid, "sines", {"amplitude": 0.5}),
+                                  2.0, 0.05)
+    res = control.optimize(prob, control.OptimizeConfig(max_iter=8))
+    assert len(res.history) > 1
+    assert counts["_solve_shifted"] == len(res.history)
+    assert counts["solve_semilinear"] >= len(res.history)
