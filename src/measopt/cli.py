@@ -142,7 +142,7 @@ def _problem_parts(path):
     base = Path(path).parent
     doc = _load_doc(path)
     grid_doc = _section(doc, "grid")
-    grid = build_grid(grid_doc["dim"], grid_doc["n"])
+    grid = build_grid(grid_doc.get("dim"), grid_doc.get("n"))
     g = nonlinearity_from_config(_section(doc, "g"))
     return doc, grid, g, base
 
@@ -177,7 +177,7 @@ def _cmd_optimize(args) -> int:
     doc, grid, g, base = _problem_parts(args.problem)
     u_d = _parse_field(_section(doc, "u_d", {"name": "zero"}), grid, base)
     prob = ControlProblem(grid, g, u_d, real(doc.get("p", 2.0), "p", allow_inf=True),
-                          real(doc["alpha"], "alpha"))
+                          real(doc.get("alpha"), "alpha"))
     opt = _section(doc, "optimizer", {})
     bad = set(opt) - {f.name for f in dataclasses.fields(OptimizeConfig)}
     if bad:

@@ -46,29 +46,27 @@ def backend_name() -> str:
 
 
 def neg_laplacian_numpy(u, dim: int, n: int, inv_h2: float):
-    """Apply the (2*dim+1)-point negative Laplacian stencil.
-
-    Parameters
-    ----------
-    u : flat float64 array of length n**dim, lexicographic order.
-    dim, n : grid shape.
-    inv_h2 : 1/h**2 with h the grid spacing.
-
-    Returns
-    -------
-    Flat float64 array: (2*dim*u_i - sum of neighbors) * inv_h2, with
-    out-of-range neighbors read as 0.
-    """
+    """(2 dim u_i - sum of the 2 dim neighbours) * inv_h2 for the flat array u of
+    n**dim values in lexicographic order, reading out-of-range neighbours as 0."""
     a = u.reshape((n,) * dim)
     out = (2.0 * dim) * a
+    for lo, hi in _neighbour_slices(dim, n):
+        o = out[lo]  # a view: the subtraction writes into out, with no copy back
+        np.subtract(o, a[hi], out=o)
+    out *= inv_h2
+    return out.reshape(-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _neighbour_slices(dim: int, n: int) -> tuple:
+    """Per axis (lo, hi), then (hi, lo): out[lo] -= a[hi] subtracts the upper neighbours."""
+    lo, hi = slice(0, n - 1), slice(1, n)
+    pairs = []
     for ax in range(dim):
-        lo = [slice(None)] * dim
-        hi = [slice(None)] * dim
-        lo[ax] = slice(0, n - 1)
-        hi[ax] = slice(1, n)
-        out[tuple(lo)] -= a[tuple(hi)]
-        out[tuple(hi)] -= a[tuple(lo)]
-    return (out * inv_h2).reshape(-1)
+        pre, post = (slice(None),) * ax, (slice(None),) * (dim - 1 - ax)
+        below, above = pre + (lo,) + post, pre + (hi,) + post
+        pairs += [(below, above), (above, below)]
+    return tuple(pairs)
 
 
 neg_laplacian = neg_laplacian_numpy

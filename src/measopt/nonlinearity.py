@@ -186,5 +186,9 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         return Nonlinearity.linear(real(cfg.get("lam", 0.0), "lam"))
     if kind == "zero":
         return Nonlinearity.zero()
-    return Nonlinearity.table([real(v, "t") for v in cfg["t"]],
-                              [real(v, "g") for v in cfg["g"]])
+    lists = []
+    for key in ("t", "g"):
+        if not isinstance(values := cfg.get(key), list):
+            raise ValueError(f"invalid config: {key} must be a list of reals, got {values!r}")
+        lists.append([real(v, key) for v in values])
+    return Nonlinearity.table(*lists)

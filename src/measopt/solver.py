@@ -18,6 +18,7 @@ Residuals are always measured in the quadrature-weighted discrete L1
 norm, matching the measure-space reading of the right-hand side, and
 accepted at the caller's tolerance or at the rounding floor of their own
 evaluation (``kernels.rounding_floor``), in every solve mode alike.
+Each iteration stops at the first iterate whose residual passes.
 """
 from __future__ import annotations
 
@@ -123,15 +124,12 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     and G once there, and the loop carries them from the accepted trial.
     A trial is accepted when it passes the Armijo test on the energy,
     or, for a full step, when it lowers the residual: near the fixed
-    point the energy decrement drops below rounding.  Once the residual
-    reaches tol, or the rounding floor of rhs and u0 (sum |g(u)| is at
-    most sum |rhs| by absorption), one polishing step follows: a single
-    full step, never halved, kept by the same test.  It pushes the
-    iterate to essentially machine accuracy, which the maximum principle
-    and gradient checks downstream rely on, and the iteration ends after
-    it, or before it if the residual is below the inner tolerance
-    tol * 1e-2, where the step would be zero.  An iterate at which g is
-    not finite ends the solve with a ConvergenceError that carries it.
+    point the energy decrement drops below rounding.  Newton stops at
+    the first iterate whose residual passes tol or the rounding floor of
+    rhs and u0 (sum |g(u)| is at most sum |rhs| by absorption), so tol
+    is the residual the state reaches.  An iterate at which g is not
+    finite ends the solve with a ConvergenceError that carries it, as
+    does a step that no trial can accept.
     """
     tol = checks.real(tol, "tol", positive=True)
     hd = grid.cell_volume
@@ -148,9 +146,8 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             raise ConvergenceError(f"no convergence: g returned a non-finite value after "
                                    f"{newton_its} newton iterations", report=report,
                                    field=ScalarField(grid, u))
-        if residual <= tol * 1e-2:
-            break  # the polishing solve would return a zero step
-        polish = residual <= accept
+        if residual <= accept:
+            break
         dg = np.asarray(g.derivative(u))
         if np.any(dg < -1e-12):
             raise ValueError("invalid nonlinearity: negative derivative detected during solve")
@@ -169,13 +166,12 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             accepted = (cand_energy <= energy + 1e-4 * tau * slope
                         or (tau == 1.0 and cand_residual < residual))
             tau *= 0.5
-            if accepted or polish or tau < 1e-12:
+            if accepted or tau < 1e-12:
                 break
-        if accepted:
-            u, res_vec, residual, energy = cand, cand_vec, cand_residual, cand_energy
-            newton_its += 1
-        if polish or not accepted:
-            break  # polished, or neither energy nor residual can improve
+        if not accepted:
+            break  # neither energy nor residual can improve
+        u, res_vec, residual, energy = cand, cand_vec, cand_residual, cand_energy
+        newton_its += 1
 
     report = SolveReport(newton_its, residual, residual <= accept,
                          method="newton+cg", inner_iterations=inner_total)

@@ -488,6 +488,20 @@ def test_problem_file_rejects_bad_field_or_g_numbers(tmp_path, capsys, command, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command,doc,key", [
+    ("solve", dict(PROBLEM, g={"kind": "table", "t": [0.0, 1.0]}), "g"),
+    ("solve", dict(PROBLEM, g={"kind": "table", "t": 1, "g": [0.0, 1.0]}), "t"),
+    ("solve", dict(PROBLEM, grid={"n": 9}), "dim"),
+    ("optimize", {k: v for k, v in PROBLEM.items() if k != "alpha"}, "alpha"),
+], ids=["table-without-g", "table-t-not-list", "grid-without-dim", "without-alpha"])
+def test_missing_or_non_list_entry_exits_two_and_names_its_key(tmp_path, capsys, command,
+                                                               doc, key):
+    path = _write_problem(tmp_path, doc)
+    assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("name", ["exp_dirac_collapse", "exp_mollification_stability"])
 def test_experiment_tol_override_is_unknown(tmp_path, capsys, name):
     # both experiments solve at solver.DEFAULT_TOL; tol is not a parameter

@@ -125,6 +125,27 @@ def test_sine_transform_is_an_orthonormal_involution(dim, n):
         np.testing.assert_allclose(_sine_transform(outer), ref, rtol=0.0, atol=1e-12)
 
 
+def _padded_stencil(a, inv_h2):
+    """-Lap_h over the zero-padded field: per axis the upper, then the lower neighbour."""
+    padded = np.pad(a, 1)
+    out = (2.0 * a.ndim) * a
+    for ax in range(a.ndim):
+        for start in (2, 0):
+            idx = [slice(1, -1)] * a.ndim
+            idx[ax] = slice(start, start + a.shape[ax])
+            out = out - padded[tuple(idx)]
+    return out * inv_h2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_stencil_matches_zero_padded_formula_bitwise(dim, n, seed):
+    a = np.random.default_rng(seed).standard_normal((n,) * dim)
+    inv_h2 = float(n + 1) ** 2
+    out = measopt.kernels.neg_laplacian(a.reshape(-1), dim, n, inv_h2)
+    assert np.array_equal(out, _padded_stencil(a, inv_h2).reshape(-1))
+
+
 def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     # A p comes from M p = r + beta * M p_old, M = -Lap_h + mean(d) I
     calls = []
@@ -321,11 +342,10 @@ def _count_calls(monkeypatch, method):
 
 def test_semilinear_makes_one_cold_start(monkeypatch):
     # one linear solve (zero shift) before the Newton loop, whatever the
-    # sign of the datum, then one shifted solve per Newton step; a final
-    # polishing step that cannot improve at rounding level is solved but
-    # not counted as an iteration.  The energy is evaluated once at the
-    # initial iterate and once per trial step, and the polishing step is
-    # never halved, so a full-step solve makes at most iterations + 2
+    # sign of the datum, then one shifted solve per Newton step and none
+    # after the residual passes.  The energy is evaluated once at the
+    # initial iterate and once per trial step, so a full-step solve makes
+    # at most iterations + 1
     calls = []
 
     def counting(grid, diag, *args, **kwargs):
@@ -346,8 +366,35 @@ def test_semilinear_makes_one_cold_start(monkeypatch):
         _, report = solve_semilinear(grid, g, m)
         assert report.converged
         assert [np.ndim(d) for d in calls].count(0) == 1 and calls[0] == 0.0
-        assert report.iterations + 1 <= len(calls) <= report.iterations + 2
-        assert len(primitive_calls) <= report.iterations + 2
+        assert len(calls) == report.iterations + 1
+        assert len(primitive_calls) <= report.iterations + 1
+
+
+def test_newton_stops_at_the_first_passing_iterate(monkeypatch):
+    # tol is the residual the state reaches: every iterate before the last
+    # fails it, and no step follows the one that passes
+    residuals = []
+    evaluate = measopt.solver._evaluate
+
+    def recording(*args):
+        out = evaluate(*args)
+        residuals.append(out[1])
+        return out
+
+    monkeypatch.setattr(measopt.solver, "_evaluate", recording)
+    grid = build_grid(2, 31)
+    g = Nonlinearity.power(3.0)
+    m = DiscreteMeasure.point((0.5, 0.5), 5.0)
+    tol = 1e-6
+    u, report = solve_semilinear(grid, g, m, tol=tol)
+    assert report.converged and len(residuals) == report.iterations + 1
+    assert all(r > tol for r in residuals[:-1]) and residuals[-1] == report.final_residual
+    res_vec = neg_laplacian_apply(u).values + g(u.values) - rasterize(m, grid).values
+    residual = grid.cell_volume * float(np.abs(res_vec).sum())
+    assert residual <= tol
+    assert residual == pytest.approx(report.final_residual, rel=1e-9)
+    _, tight = solve_semilinear(grid, g, m, tol=1e-12)
+    assert report.iterations < tight.iterations
 
 
 def test_each_newton_trial_evaluates_g_and_G_once(monkeypatch):
