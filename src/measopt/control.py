@@ -124,7 +124,13 @@ def evaluate_cost(prob: ControlProblem, m: DiscreteMeasure) -> float:
 
 
 def _smoothing_width(prob: ControlProblem) -> float:
-    return 1e-3 * (lp_norm(prob.u_d, math.inf) or 1.0)
+    """The Huber (p = 1) or log-sum-exp (p = inf) width: 1e-3 ||u_d||_{L^p,h}.
+
+    The target's own norm, which stays bounded under refinement for any
+    target in L^p; its max would grow with the grid for an unbounded L^1
+    target such as |x - x0|^-1.
+    """
+    return 1e-3 * (lp_norm(prob.u_d, prob.p) or 1.0)
 
 
 def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:

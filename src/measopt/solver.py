@@ -10,8 +10,13 @@ search on the discrete energy
     E(u) = 0.5 <u, -Lap_h u>_h + sum G(u_i) h^dim - <rhs, u>_h,
 
 whose gradient is exactly the PDE residual.  Each trial point is
-evaluated once, for its residual and its energy together, and one test
-accepts it: the Armijo decrease, or for a full step a smaller residual.
+evaluated once for its residual, and one test accepts it: for a full
+step a smaller residual, or else the Armijo decrease.  The energy, the
+only use of G, is evaluated lazily where the Armijo test runs.  A
+state solve allocates one CG workspace (``kernels.cg_shifted``) and
+passes it to every shifted solve; the Newton loop writes the stencil,
+its trial points and their residuals into the same slots between
+solves, so a 3-D solve stops allocating full-grid arrays per step.
 A monotone sub- and supersolution iteration is available as an
 independent solve mode.
 Residuals are always measured in the quadrature-weighted discrete L1
@@ -67,16 +72,17 @@ class ConvergenceError(RuntimeError):
         self.trace = trace
 
 
-def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float):
+def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, work=None):
     """Solve (-Lap_h + diag) x = rhs from x = 0.
 
-    diag is a nodal array, or a scalar for a constant shift.  Returns
+    diag is a nodal array, or a scalar for a constant shift; ``work`` is
+    the optional CG workspace of ``kernels.cg_shifted``.  Returns
     (x, inner_iterations, residual_l1), the last being the weighted-L1
     norm of the true residual of x that CG computed.
     """
     x, iters, res_l1, converged = kernels.cg_shifted(
         rhs, np.asarray(diag, dtype=np.float64), grid.dim, grid.n, grid.h,
-        atol_l1, maxiter=40 * grid.n + 200)
+        atol_l1, maxiter=40 * grid.n + 200, work=work)
     if not converged:
         raise ConvergenceError(
             f"no convergence: cg stalled at weighted-L1 residual {res_l1:.3e}",
@@ -84,8 +90,8 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float):
     return x, iters, res_l1
 
 
-def _neg_lap(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return kernels.neg_laplacian(values, grid.dim, grid.n, 1.0 / grid.h ** 2)
+def _neg_lap(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
+    return kernels.neg_laplacian(values, grid.dim, grid.n, 1.0 / grid.h ** 2, out=out)
 
 
 def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
@@ -102,14 +108,23 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     return ScalarField(grid, x), SolveReport(1, res, True, method="cg", inner_iterations=inner)
 
 
-def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray):
-    """The residual -Lap_h u + g(u) - rhs at u, its weighted-L1 norm and the energy."""
+def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, lap, res):
+    """Write -Lap_h u into lap and the residual -Lap_h u + g(u) - rhs into res.
+
+    Returns the residual's weighted-L1 norm and the quadratic part
+    0.5 <u, -Lap_h u>_h of the energy; lap ends as scratch.
+    """
     hd = grid.cell_volume
-    lap_u = _neg_lap(grid, u)
-    res_vec = lap_u + np.asarray(g(u)) - rhs
-    quad = 0.5 * float(u @ lap_u) * hd
-    energy = quad + float(g.primitive(u).sum()) * hd - float(rhs @ u) * hd
-    return res_vec, float(np.abs(res_vec).sum()) * hd, energy
+    _neg_lap(grid, u, out=lap)
+    quad = 0.5 * float(u @ lap) * hd
+    np.subtract(np.add(lap, np.asarray(g(u)), out=res), rhs, out=res)
+    return float(np.abs(res, out=lap).sum()) * hd, quad
+
+
+def _energy(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, quad: float) -> float:
+    """The energy at u from its quadratic part; the one place G is evaluated."""
+    hd = grid.cell_volume
+    return quad + float(g.primitive(u).sum()) * hd - float(rhs @ u) * hd
 
 
 def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
@@ -120,24 +135,35 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     signed and nonnegative data alike.  It needs no clipping: -Lap_h is
     an M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
     semilinear solution obeys the same bound.  ``_evaluate`` gives the
-    residual, its norm and the energy at each trial point, evaluating g
-    and G once there, and the loop carries them from the accepted trial.
-    A trial is accepted when it passes the Armijo test on the energy,
-    or, for a full step, when it lowers the residual: near the fixed
-    point the energy decrement drops below rounding.  Newton stops at
-    the first iterate whose residual passes tol or the rounding floor of
-    rhs and u0 (sum |g(u)| is at most sum |rhs| by absorption), so tol
-    is the residual the state reaches.  An iterate at which g is not
-    finite ends the solve with a ConvergenceError that carries it, as
-    does a step that no trial can accept.
+    residual and its norm at each trial point, evaluating g once there,
+    and the loop carries them from the accepted trial.  A trial is
+    accepted when, for a full step, it lowers the residual, or else when
+    it passes the Armijo test on the energy: near the fixed point the
+    energy decrement drops below rounding.  The residual test runs
+    first, so G is evaluated only where the Armijo test runs, at most
+    once per trial and once per iterate.  Newton stops at the first
+    iterate whose residual passes tol or the rounding floor of rhs and
+    u0 (sum |g(u)| is at most sum |rhs| by absorption), so tol is the
+    residual the state reaches.  An iterate at which g is not finite
+    ends the solve with a ConvergenceError that carries it, as does a
+    step that no trial can accept.
+
+    One CG workspace serves every shifted solve; between solves its
+    slots hold the trial point, its residual and the stencil's output,
+    so the iterate and its residual are the only other full-grid arrays
+    the loop keeps.
     """
     tol = checks.real(tol, "tol", positive=True)
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
-    u, inner_total, _ = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10))
-    accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.h))
+    work = np.empty((6, rhs.size))
+    cand, cand_res, lap = work[:3]
+    u, inner_total, _ = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10), work=work)
+    accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.h, out=lap))
 
-    res_vec, residual, energy = _evaluate(grid, g, rhs, u)
+    res_vec = np.empty_like(rhs)
+    residual, quad = _evaluate(grid, g, rhs, u, lap, res_vec)
+    energy = None  # evaluated when an Armijo test first needs it
     newton_its = 0
     for _ in range(NEWTON_MAX):
         if not np.isfinite(res_vec).all():  # -Lap_h u - rhs is finite, so g is not
@@ -151,26 +177,35 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         dg = np.asarray(g.derivative(u))
         if np.any(dg < -1e-12):
             raise ValueError("invalid nonlinearity: negative derivative detected during solve")
-        dg = np.maximum(dg, 0.0)
+        np.maximum(dg, 0.0, out=dg)
+        np.negative(res_vec, out=res_vec)  # the right-hand side -res, in place
         try:
-            delta, inner, _ = _solve_shifted(grid, dg, -res_vec, atol_l1=tol * 1e-2)
+            delta, inner, _ = _solve_shifted(grid, dg, res_vec, atol_l1=tol * 1e-2, work=work)
         except ConvergenceError as exc:
             exc.field = ScalarField(grid, u)
             raise
+        np.negative(res_vec, out=res_vec)  # back to res; negation is exact
         inner_total += inner
         slope = float(res_vec @ delta) * hd
         tau = 1.0
         while True:
-            cand = u + tau * delta
-            cand_vec, cand_residual, cand_energy = _evaluate(grid, g, rhs, cand)
-            accepted = (cand_energy <= energy + 1e-4 * tau * slope
-                        or (tau == 1.0 and cand_residual < residual))
+            np.add(u, np.multiply(delta, tau, out=cand), out=cand)
+            cand_residual, cand_quad = _evaluate(grid, g, rhs, cand, lap, cand_res)
+            cand_energy = None
+            accepted = tau == 1.0 and cand_residual < residual
+            if not accepted:
+                if energy is None:
+                    energy = _energy(grid, g, rhs, u, quad)
+                cand_energy = _energy(grid, g, rhs, cand, cand_quad)
+                accepted = cand_energy <= energy + 1e-4 * tau * slope
             tau *= 0.5
             if accepted or tau < 1e-12:
                 break
         if not accepted:
             break  # neither energy nor residual can improve
-        u, res_vec, residual, energy = cand, cand_vec, cand_residual, cand_energy
+        np.copyto(u, cand)
+        np.copyto(res_vec, cand_res)
+        residual, quad, energy = cand_residual, cand_quad, cand_energy
         newton_its += 1
 
     report = SolveReport(newton_its, residual, residual <= accept,

@@ -185,6 +185,19 @@ def test_gradient_matches_finite_differences_random(dim, n, p, g, seed):
     _check_gradient_against_finite_differences(dim, n, p, nonlin, seed)
 
 
+def test_huber_width_of_an_unbounded_l1_target_holds_under_refinement():
+    # |x - x0|^-1 is in L^1 but not L^inf in 2-D: its max doubles with each
+    # refinement, its L^1 norm settles
+    widths = []
+    for n in (31, 63, 127):
+        grid = build_grid(2, n)
+        r = np.sqrt(((grid.node_coords() - np.array([0.3, 0.6])) ** 2).sum(axis=1))
+        target = ScalarField(grid, 1.0 / r)
+        widths.append(measopt.control._smoothing_width(_problem(grid, p=1.0, u_d=target)))
+        assert widths[-1] == 1e-3 * lp_norm(target, 1.0)
+    assert max(widths) < 1.05 * min(widths)
+
+
 # ---------------------------------------------------------------------------
 # proximal map
 # ---------------------------------------------------------------------------

@@ -1,0 +1,118 @@
+"""The CG workspace contract and the allocation bounds it buys."""
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from measopt import DiscreteMeasure, Nonlinearity, ScalarField, build_grid, solve_semilinear
+from measopt.kernels import _sine_matrix, _sine_transform, cg_shifted
+
+_MAX_N = {1: 40, 2: 16, 3: 8}
+
+
+@st.composite
+def _systems(draw):
+    """A grid, a constant or peaked shift and a right-hand side."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, _MAX_N[dim]))
+    grid = build_grid(dim, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = draw(st.floats(0.0, 1e3))
+    if draw(st.booleans()):
+        diag = np.asarray(top)
+    else:
+        centre = rng.uniform(0.2, 0.8, dim)
+        r2 = ((grid.node_coords() - centre) ** 2).sum(axis=1)
+        diag = 1.0 + top * np.exp(-r2 / 0.01)
+    return grid, diag, rng.standard_normal(grid.total_interior)
+
+
+def _cg(grid, diag, b, work=None, maxiter=200):
+    return cg_shifted(b, diag, grid.dim, grid.n, grid.h, 1e-12, maxiter, work=work)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_systems())
+def test_cg_with_a_workspace_matches_cg_without_bitwise(system):
+    grid, diag, b = system
+    x, iters, res, converged = _cg(grid, diag, b)
+    # stale contents, here NaN, must never reach the result
+    work = np.full((6, b.size), np.nan)
+    b_before = b.copy()
+    x_w, iters_w, res_w, converged_w = _cg(grid, diag, b, work)
+    assert np.array_equal(x_w, x)
+    assert (iters_w, res_w, converged_w) == (iters, res, converged)
+    assert not np.shares_memory(x_w, work)
+    assert np.array_equal(b, b_before)
+
+
+def _allocating_transform(a):
+    """The transform as a chain of allocating products, one per axis."""
+    n = a.shape[0]
+    s = _sine_matrix(n)
+    t = a.reshape(-1, n) @ s
+    for ax in range(a.ndim - 1):
+        t = s @ t.reshape(n ** ax, n, -1)
+    return t.reshape(a.shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_sine_transform_into_buffers_matches_the_allocating_products_bitwise(dim, n, seed):
+    a = np.random.default_rng(seed).standard_normal((n,) * dim)
+    a_before = a.copy()
+    ref = _allocating_transform(a)
+    out, tmp = np.full(a.size, np.nan), np.full(a.size, np.nan)
+    t = _sine_transform(a, out=out, tmp=tmp)
+    assert np.shares_memory(t, out)
+    assert np.array_equal(t, ref)
+    assert np.array_equal(_sine_transform(a), ref)
+    assert np.array_equal(a, a_before)
+
+
+def _state_problem(n):
+    grid = build_grid(3, n)
+    m = DiscreteMeasure(3, atoms=(((0.3, 0.4, 0.6), 0.08), ((0.7, 0.5, 0.4), -0.06)),
+                        density=ScalarField(grid, 12.0 * np.exp(
+                            -((grid.node_coords() - 0.5) ** 2).sum(axis=1) / 0.02)))
+    return grid, Nonlinearity.power(3.0), m
+
+
+def test_a_solve_after_a_solve_of_another_size_is_bitwise_identical():
+    small, large = _state_problem(7), _state_problem(11)
+    u_first, report_first = solve_semilinear(*small)
+    solve_semilinear(*large)
+    u_again, report_again = solve_semilinear(*small)
+    assert np.array_equal(u_again.values, u_first.values)
+    assert report_again == report_first
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_state_solve_peak_stays_below_the_old_live_set():
+    # allocating per CG update and per trial point, a 3-D solve peaked at
+    # 16 full-grid arrays at n = 31; the workspace holds it near 14
+    problem = _state_problem(31)
+    solve_semilinear(*problem)  # fills the per-size caches first
+    array_bytes = 8 * 31 ** 3
+    assert _traced_peak(lambda: solve_semilinear(*problem)) <= 15 * array_bytes
+
+
+def test_cg_peak_does_not_grow_with_the_iteration_count():
+    grid = build_grid(3, 15)
+    r2 = ((grid.node_coords() - 0.4) ** 2).sum(axis=1)
+    diag = 1.0 + 500.0 * np.exp(-r2 / 0.01)
+    b = np.random.default_rng(3).standard_normal(grid.total_interior)
+    work = np.empty((6, b.size))
+    _cg(grid, diag, b, work, maxiter=20)
+    peaks = [_traced_peak(lambda k=k: _cg(grid, diag, b, work, maxiter=k)) for k in (2, 20)]
+    assert _cg(grid, diag, b, work, maxiter=20)[1] > 2
+    assert peaks[1] <= peaks[0]

@@ -151,9 +151,9 @@ def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     calls = []
     stencil = measopt.kernels.neg_laplacian_numpy
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return stencil(*args)
+        return stencil(*args, **kwargs)
 
     monkeypatch.setattr(measopt.kernels, "neg_laplacian_numpy", counting)
     n, h = 15, 1.0 / 16
@@ -182,9 +182,9 @@ def test_solve_linear_applies_the_stencil_once(monkeypatch):
     calls = []
     stencil = measopt.kernels.neg_laplacian_numpy
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return stencil(*args)
+        return stencil(*args, **kwargs)
 
     monkeypatch.setattr(measopt.kernels, "neg_laplacian", counting)
     monkeypatch.setattr(measopt.kernels, "neg_laplacian_numpy", counting)
@@ -378,7 +378,7 @@ def test_newton_stops_at_the_first_passing_iterate(monkeypatch):
 
     def recording(*args):
         out = evaluate(*args)
-        residuals.append(out[1])
+        residuals.append(out[0])
         return out
 
     monkeypatch.setattr(measopt.solver, "_evaluate", recording)
@@ -398,22 +398,35 @@ def test_newton_stops_at_the_first_passing_iterate(monkeypatch):
 
 
 def test_each_newton_trial_evaluates_g_and_G_once(monkeypatch):
-    # g and G are evaluated together at each trial point and nowhere else,
-    # whether the full step is taken or the line search halves it
+    # g is evaluated once at each trial point and nowhere else.  The
+    # residual test runs first, so a step it accepts never evaluates G;
+    # where the line search halves, G is evaluated at most once per trial
+    # and once per iterate
     g_calls = _count_calls(monkeypatch, "__call__")
     primitive_calls = _count_calls(monkeypatch, "primitive")
+    trials = []
+    evaluate = measopt.solver._evaluate
+
+    def counting(*args):
+        trials.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(measopt.solver, "_evaluate", counting)
     full_step = (build_grid(2, 13), Nonlinearity.power(2.0),
                  DiscreteMeasure.point((0.5, 0.5), 1.0))
     halving = (build_grid(1, 9),
                Nonlinearity.table([-1.0, 0.0, 0.1, 10.0], [-1.0, 0.0, 10.0, 10.5]),
                DiscreteMeasure.point((0.5,), 1.0))
-    for grid, g, m in (full_step, halving):
-        g_calls.clear()
-        primitive_calls.clear()
-        _, report = solve_semilinear(grid, g, m)
+    for case in (full_step, halving):
+        for calls in (g_calls, primitive_calls, trials):
+            calls.clear()
+        _, report = solve_semilinear(*case)
         assert report.converged
-        assert len(g_calls) == len(primitive_calls) >= report.iterations + 1
-    assert len(primitive_calls) > report.iterations + 2  # the table case halved
+        assert len(g_calls) == len(trials) >= report.iterations + 1
+        if case is full_step:
+            assert len(trials) == report.iterations + 1 and not primitive_calls
+    assert len(trials) > report.iterations + 1  # the table case halved
+    assert 0 < len(primitive_calls) <= (len(trials) - 1) + (report.iterations + 1)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
