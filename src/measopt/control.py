@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _lp, constant_field, lp_norm, zeros_field
+from .grid import Grid, ScalarField, _lp, _owned_field, constant_field, lp_norm, zeros_field
 from .measures import DiscreteMeasure, tv_norm
 from .nonlinearity import Nonlinearity
 from .solver import (DEFAULT_TOL, ConvergenceError, _solve_shifted,
@@ -183,11 +183,14 @@ def prox_l1(v: ScalarField, threshold: float) -> ScalarField:
     into the matching cut on density values, so thresholding with
     tau * alpha * h^dim realizes the alpha * tv penalty.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:  # NaN fails here too
         raise ValueError(f"invalid config: threshold must be >= 0, got {threshold}")
-    level = threshold / v.grid.cell_volume
-    vals = np.sign(v.values) * np.maximum(np.abs(v.values) - level, 0.0)
-    return ScalarField(v.grid, vals)
+    return ScalarField(v.grid, _soft_threshold(v.values, threshold / v.grid.cell_volume))
+
+
+def _soft_threshold(values: np.ndarray, level: float) -> np.ndarray:
+    """sign(v) * max(|v| - level, 0) node by node, as a fresh array."""
+    return np.sign(values) * np.maximum(np.abs(values) - level, 0.0)
 
 
 def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> OptimResult:
@@ -196,7 +199,8 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     Steps c <- soft(c - tau * phi, tau * alpha) on density values, with
     tau backtracked until F strictly decreases, so the history is
     nonincreasing and the result never exceeds F(0).  A run whose very
-    first iteration cannot decrease F returns the zero control.
+    first iteration cannot decrease F returns the zero control.  Trial
+    controls, fresh and finite, are wrapped without a copy or a scan.
     """
     cfg = config or OptimizeConfig()
     grid = prob.grid
@@ -209,8 +213,8 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     last_rel = math.inf
     for it in range(1, cfg.max_iter + 1):
         for _ in range(MAX_BACKTRACKS):
-            c_try = prox_l1(ScalarField(grid, cur.m.density.values - tau * phi),
-                            tau * prob.alpha * grid.cell_volume)
+            level = tau * prob.alpha * grid.cell_volume / grid.cell_volume  # as prox_l1 rounds
+            c_try = _owned_field(grid, _soft_threshold(cur.m.density.values - tau * phi, level))
             try:
                 trial = _evaluate(prob, DiscreteMeasure.from_density(c_try))
             except CostUnavailableError:

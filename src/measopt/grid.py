@@ -99,6 +99,15 @@ class ScalarField:
         return self.values.reshape(self.grid.shape)
 
 
+def _owned_field(grid: Grid, values: np.ndarray) -> ScalarField:
+    """A field of a fresh, flat, finite float64 array, set read-only: no copy, no scan."""
+    values.flags.writeable = False
+    field = object.__new__(ScalarField)
+    object.__setattr__(field, "grid", grid)
+    object.__setattr__(field, "values", values)
+    return field
+
+
 def zeros_field(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.zeros(grid.total_interior))
 

@@ -4,11 +4,11 @@ All kernels act on flat float64 arrays of interior values of the unit
 box in lexicographic node order, with an implicit zero Dirichlet
 boundary: stencil reads outside the index range contribute 0.
 
-The shifted solve (-Lap_h + diag(d)) x = b runs conjugate gradients
-preconditioned by the exact solve with M = -Lap_h + c I, c = mean(d).
-On this box the orthonormal type-I sine transform diagonalizes -Lap_h
-(the fast Poisson solver of Buzbee, Golub and Nielson, 1970), so one
-preconditioner application costs two transforms.  Writing
+On this box the orthonormal type-I sine transform S diagonalizes -Lap_h
+(the fast Poisson solver of Buzbee, Golub and Nielson, 1970), so
+``sine_solve`` applies (-Lap_h + c I)^-1 exactly in two transforms.  The
+shifted solve (-Lap_h + diag(d)) x = b runs conjugate gradients
+preconditioned by it, M = -Lap_h + c I with c = mean(d).  Writing
 A = M + diag(d - c), CG carries M p alongside each direction p
 (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981) and forms A p from it,
 so one iteration costs two transforms and no stencil; the stencil runs
@@ -17,25 +17,22 @@ decides convergence by one rule: it passes at the caller's tolerance or
 at ``rounding_floor``, FLOOR_C eps h^dim sum(|b| + (4 dim/h^2)|x| + |f(x)|),
 the rounding error of evaluating it, where a true CG residual stalls
 (4 dim/h^2 is the row sum of |-Lap_h|; Greenbaum, SIMAX 18, 1997;
-Higham 2002, ch. 7).  CG stops after one iteration whenever d is
-constant.  A solve works in one six-slot workspace (r, z, p, M p, A p
-and scratch) that a caller may pass to many solves: every update, both
-transforms of the preconditioner and the true-residual check write into
-its slots, so a CG iteration allocates no full-grid array.  On a 3-D
-n = 63 grid, where one array is 2 MB and a freed one goes back to the
-system, allocating per update cost each Newton state solve 8,700-10,600
-minor page faults; with the workspace a repeated solve takes none.  The
-transform is a dense product with the symmetric n x n sine matrix per
-axis, O(n^(dim+1)) flops in all: a.reshape(-1, n) @ S for the last axis
-and S @ a.reshape(n**ax, n, -1) for every other axis ax, with no
-transposed copy.  At the sizes measopt runs this beats
-an FFT, whose cost at small n goes to axis bookkeeping and padded
-copies rather than arithmetic.  Against a zero-padded real FFT per
-axis, with one BLAS thread on a 2-core host, a dense product per axis
-was 1.7-6.7x faster in 2-D for n = 17..255 and 1.3-8.5x faster in 3-D
-for n = 15..191; the two tie at 2-D n = 511.  Dropping the transposed
-copies made the transform a further 1.2-2.2x faster in 3-D
-(n = 15..127) and left 2-D within timing noise (n = 17..511).
+Higham 2002, ch. 7).  For a constant d, CG stops after one iteration at
+M^-1 b bit for bit (A p = M p = b, so alpha = 1): what ``sine_solve``
+returns without CG's set-up and residual check, and where the Newton
+state solve starts.  A solve works in one six-slot workspace (r, z, p,
+M p, A p and scratch) that a caller may pass to many solves: every
+update, both transforms of the preconditioner and the true-residual
+check write into its slots, so a CG iteration allocates no full-grid
+array and a repeated 3-D solve takes no page faults
+(BENCH_19_workspace.json).  The transform is a dense product with the
+symmetric n x n sine matrix per axis, O(n^(dim+1)) flops in all:
+a.reshape(-1, n) @ S for the last axis and S @ a.reshape(n**ax, n, -1)
+for every other axis ax, with no transposed copy.  At the sizes measopt
+runs this beats an FFT, whose cost at small n goes to axis bookkeeping
+and padded copies rather than arithmetic: against a zero-padded real FFT
+per axis with one BLAS thread it was 1.7-6.7x faster in 2-D for
+n = 17..255 and 1.3-8.5x in 3-D for n = 15..191, tying at 2-D n = 511.
 """
 from __future__ import annotations
 
@@ -132,16 +129,33 @@ def _sine_transform(a, out=None, tmp=None):
     return out.reshape(shape)
 
 
+def inverse_eigenvalues(dim: int, n: int, h: float, c: float) -> np.ndarray:
+    """(lam + c)^-1 for the eigenvalues lam of -Lap_h, shaped (n,) * dim; a fresh array."""
+    inv_eig = np.add(_eigenvalues(dim, n, h), c)
+    return np.divide(1.0, inv_eig, out=inv_eig)
+
+
+def sine_solve(b, inv_eig, out, mid, tmp):
+    """out = S(inv_eig * S b) = (-Lap_h + c I)^-1 b for ``inverse_eigenvalues(..., c)``.
+
+    ``out``, ``mid`` (the first transform) and ``tmp`` are flat, disjoint from b and each other.
+    """
+    b_hat = _sine_transform(b.reshape(inv_eig.shape), out=mid, tmp=tmp)
+    b_hat *= inv_eig
+    _sine_transform(b_hat, out=out, tmp=tmp)
+    return out
+
+
 def rounding_floor(b, x, fx, dim: int, h: float, out=None) -> float:
     """Rounding floor of the weighted-L1 norm of b - (-Lap_h x + f(x)); sum |fx| >= sum |f(x)|.
 
-    ``out`` is scratch of b's size for the absolute values; it may be fx.
+    ``out`` is scratch of b's size for the absolute values; it may be fx, and fx may be b.
     """
     if out is None:
         out = np.empty(b.size)
     sum_fx = np.abs(fx, out=out).sum()  # first, so that out may be fx
-    total = float(np.abs(b, out=out).sum() + 4.0 * dim / (h * h) * np.abs(x, out=out).sum()
-                  + sum_fx)
+    sum_b = sum_fx if fx is b else np.abs(b, out=out).sum()
+    total = float(sum_b + 4.0 * dim / (h * h) * np.abs(x, out=out).sum() + sum_fx)
     return FLOOR_C * float(np.finfo(np.float64).eps) * h ** dim * total
 
 
@@ -172,26 +186,18 @@ def cg_shifted(b, diag, dim: int, n: int, h: float, atol_l1: float, maxiter: int
     """
     inv_h2 = 1.0 / (h * h)
     hd = h ** dim
-    shape = (n,) * dim
     if work is None:
         work = np.empty((6, b.size))
     r, z, p, mp_slot, ap, tmp = work
-    c = float(diag.mean())
-    inv_eig = np.add(_eigenvalues(dim, n, h), c)
-    np.divide(1.0, inv_eig, out=inv_eig)
+    c = float(diag.sum()) / diag.size  # mean(d), without numpy's Python-level mean
+    inv_eig = inverse_eigenvalues(dim, n, h, c)
     d_minus_c = diag - c
-
-    def precondition(dst):  # dst = M^-1 r, through ap and tmp
-        r_hat = _sine_transform(r.reshape(shape), out=ap, tmp=tmp)
-        r_hat *= inv_eig
-        _sine_transform(r_hat, out=dst, tmp=tmp)
-
     x = np.zeros(b.size)
     np.copyto(r, b)
     res_l1 = hd * float(np.abs(r, out=tmp).sum())
     if res_l1 <= atol_l1:
         return x, 0, res_l1, True
-    precondition(p)  # the first direction is z
+    sine_solve(r, inv_eig, p, ap, tmp)  # the first direction is z = M^-1 r
     mp = b  # M p = r = b; the first update moves it into its slot
     rz = float(r @ p)
     it = 0
@@ -207,7 +213,7 @@ def cg_shifted(b, diag, dim: int, n: int, h: float, atol_l1: float, maxiter: int
         res_l1 = hd * float(np.abs(r, out=tmp).sum())
         if res_l1 <= atol_l1 or not math.isfinite(res_l1):  # NaN or inf in b or d
             break
-        precondition(z)
+        sine_solve(r, inv_eig, z, ap, tmp)
         rz_new = float(r @ z)
         beta = rz_new / rz
         np.add(z, np.multiply(p, beta, out=p), out=p)

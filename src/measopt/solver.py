@@ -12,9 +12,10 @@ search on the discrete energy
 whose gradient is exactly the PDE residual.  Each trial point is
 evaluated once for its residual, and one test accepts it: for a full
 step a smaller residual, or else the Armijo decrease.  The energy, the
-only use of G, is evaluated lazily where the Armijo test runs.  A
-state solve allocates one CG workspace (``kernels.cg_shifted``) and
-passes it to every shifted solve; the Newton loop writes the stencil,
+only use of G, is evaluated lazily where the Armijo test runs.  Newton
+starts at the Poisson solution, one exact sine-transform solve.  A state
+solve allocates one CG workspace (``kernels.cg_shifted``) and passes it
+to every shifted solve; the Newton loop writes the stencil,
 its trial points and their residuals into the same slots between
 solves, so a 3-D solve stops allocating full-grid arrays per step.
 A monotone sub- and supersolution iteration is available as an
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks, kernels
-from .grid import Grid, ScalarField, _lp
+from .grid import Grid, ScalarField, _lp, _owned_field
 from .measures import DiscreteMeasure, negate, rasterize, tv_norm
 from .nonlinearity import Nonlinearity
 
@@ -132,41 +133,42 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     """Solve -Lap_h u + g(u) = m by damped Newton iteration.
 
     The initial iterate is the linear solution u0 of -Lap_h u0 = m, for
-    signed and nonnegative data alike.  It needs no clipping: -Lap_h is
-    an M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
+    signed and nonnegative data alike: one exact sine-transform solve, bit
+    for bit one CG iteration at shift 0.  It needs no clipping: -Lap_h is an
+    M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
     semilinear solution obeys the same bound.  ``_evaluate`` gives the
-    residual and its norm at each trial point, evaluating g once there,
-    and the loop carries them from the accepted trial.  A trial is
-    accepted when, for a full step, it lowers the residual, or else when
-    it passes the Armijo test on the energy: near the fixed point the
-    energy decrement drops below rounding.  The residual test runs
-    first, so G is evaluated only where the Armijo test runs, at most
-    once per trial and once per iterate.  Newton stops at the first
-    iterate whose residual passes tol or the rounding floor of rhs and
-    u0 (sum |g(u)| is at most sum |rhs| by absorption), so tol is the
-    residual the state reaches.  An iterate at which g is not finite
-    ends the solve with a ConvergenceError that carries it, as does a
-    step that no trial can accept.
+    residual and its norm at each trial point, evaluating g once there, and
+    the loop carries them from the accepted trial.  A trial is accepted when,
+    for a full step, it lowers the residual, or else when it passes the
+    Armijo test on the energy: near the fixed point the energy decrement
+    drops below rounding.  The residual test runs first, so G is evaluated
+    only where the Armijo test runs, at most once per trial and once per
+    iterate.  Newton stops at the first iterate whose residual passes tol or
+    the rounding floor of rhs and u0 (sum |g(u)| is at most sum |rhs| by
+    absorption), so tol is the residual the state reaches.  An iterate at
+    which g is not finite ends the solve with a ConvergenceError that
+    carries it, as does a step that no trial can accept.
 
     One CG workspace serves every shifted solve; between solves its
     slots hold the trial point, its residual and the stencil's output,
     so the iterate and its residual are the only other full-grid arrays
-    the loop keeps.
+    the loop keeps; the returned field wraps the iterate without a copy.
     """
     tol = checks.real(tol, "tol", positive=True)
     hd = grid.cell_volume
     rhs = rasterize(m, grid).values
     work = np.empty((6, rhs.size))
     cand, cand_res, lap = work[:3]
-    u, inner_total, _ = _solve_shifted(grid, 0.0, rhs, atol_l1=min(tol, 1e-10), work=work)
+    u = kernels.sine_solve(rhs, kernels.inverse_eigenvalues(grid.dim, grid.n, grid.h, 0.0),
+                           np.empty_like(rhs), cand, lap)
     accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.h, out=lap))
 
     res_vec = np.empty_like(rhs)
     residual, quad = _evaluate(grid, g, rhs, u, lap, res_vec)
     energy = None  # evaluated when an Armijo test first needs it
-    newton_its = 0
+    newton_its = inner_total = 0
     for _ in range(NEWTON_MAX):
-        if not np.isfinite(res_vec).all():  # -Lap_h u - rhs is finite, so g is not
+        if not math.isfinite(residual):  # -Lap_h u - rhs is finite, so g is not
             report = SolveReport(newton_its, math.nan, False, method="newton+cg",
                                  inner_iterations=inner_total)
             raise ConvergenceError(f"no convergence: g returned a non-finite value after "
@@ -175,21 +177,19 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         if residual <= accept:
             break
         dg = np.asarray(g.derivative(u))
-        if np.any(dg < -1e-12):
+        if dg.min() < -1e-12:
             raise ValueError("invalid nonlinearity: negative derivative detected during solve")
         np.maximum(dg, 0.0, out=dg)
-        np.negative(res_vec, out=res_vec)  # the right-hand side -res, in place
-        try:
-            delta, inner, _ = _solve_shifted(grid, dg, res_vec, atol_l1=tol * 1e-2, work=work)
+        try:  # CG is odd in its right-hand side, so e = A^-1 res is minus the Newton step
+            e, inner, _ = _solve_shifted(grid, dg, res_vec, atol_l1=tol * 1e-2, work=work)
         except ConvergenceError as exc:
             exc.field = ScalarField(grid, u)
             raise
-        np.negative(res_vec, out=res_vec)  # back to res; negation is exact
         inner_total += inner
-        slope = float(res_vec @ delta) * hd
+        slope = -float(res_vec @ e) * hd
         tau = 1.0
         while True:
-            np.add(u, np.multiply(delta, tau, out=cand), out=cand)
+            np.subtract(u, np.multiply(e, tau, out=cand), out=cand)
             cand_residual, cand_quad = _evaluate(grid, g, rhs, cand, lap, cand_res)
             cand_energy = None
             accepted = tau == 1.0 and cand_residual < residual
@@ -204,13 +204,14 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         if not accepted:
             break  # neither energy nor residual can improve
         np.copyto(u, cand)
-        np.copyto(res_vec, cand_res)
         residual, quad, energy = cand_residual, cand_quad, cand_energy
         newton_its += 1
+        if residual > accept:  # only a further step reads the residual vector
+            np.copyto(res_vec, cand_res)
 
     report = SolveReport(newton_its, residual, residual <= accept,
                          method="newton+cg", inner_iterations=inner_total)
-    out = ScalarField(grid, u)
+    out = _owned_field(grid, u)
     if not report.converged:
         raise ConvergenceError(
             f"no convergence: newton residual {residual:.3e} > {accept:.1e} "

@@ -221,6 +221,12 @@ def test_prox_l1_scaled_threshold_example():
         prox_l1(v, -0.1)
 
 
+def test_prox_l1_rejects_a_nan_threshold_at_its_own_check():
+    v = ScalarField(build_grid(1, 4), np.ones(4))
+    with pytest.raises(ValueError, match="threshold must be >= 0"):
+        prox_l1(v, math.nan)
+
+
 def test_prox_l1_is_shrinkage():
     grid = build_grid(2, 5)
     rng = np.random.default_rng(17)
@@ -233,6 +239,27 @@ def test_prox_l1_is_shrinkage():
 # ---------------------------------------------------------------------------
 # proximal gradient loop
 # ---------------------------------------------------------------------------
+
+def test_solved_and_optimized_fields_are_read_only_and_alias_no_input():
+    # the solver and the optimizer wrap arrays they made without copying
+    # them; the fields they hand out must still be frozen and their own
+    grid = build_grid(2, 9)
+    rng = np.random.default_rng(41)
+    density = ScalarField(grid, rng.uniform(-2.0, 2.0, grid.total_interior))
+    u_d = named_field(grid, "sines", {"amplitude": 0.5})
+    held = [density.values, u_d.values]
+    g = Nonlinearity.power(3.0)
+    u, _ = solve_semilinear(grid, g, _density_measure(grid, density.values))
+    again, _ = solve_semilinear(grid, g, DiscreteMeasure.from_density(density))
+    res = optimize(_problem(grid, alpha=0.05, g=g, u_d=u_d), OptimizeConfig(max_iter=5))
+    assert len(res.history) > 1
+    out = [u.values, again.values, res.u_star.values, res.mu_star.density.values]
+    for k, values in enumerate(out):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        for other in held + out[:k]:
+            assert not np.shares_memory(values, other)
 
 def test_optimize_zero_target_returns_zero_control():
     grid = build_grid(2, 9)

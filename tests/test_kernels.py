@@ -1,4 +1,4 @@
-"""The CG workspace contract and the allocation bounds it buys."""
+"""The CG workspace contract, the exact shifted solve and the allocation bounds."""
 import tracemalloc
 
 import numpy as np
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measopt import DiscreteMeasure, Nonlinearity, ScalarField, build_grid, solve_semilinear
-from measopt.kernels import _sine_matrix, _sine_transform, cg_shifted
+from measopt.kernels import (_sine_matrix, _sine_transform, cg_shifted, inverse_eigenvalues,
+                             sine_solve)
 
 _MAX_N = {1: 40, 2: 16, 3: 8}
 
@@ -45,6 +46,36 @@ def test_cg_with_a_workspace_matches_cg_without_bitwise(system):
     assert (iters_w, res_w, converged_w) == (iters, res, converged)
     assert not np.shares_memory(x_w, work)
     assert np.array_equal(b, b_before)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_systems())
+def test_the_exact_solve_is_the_one_iteration_cg_bitwise(system):
+    # with a constant shift CG stops after one iteration at M^-1 b: the
+    # Newton start relies on sine_solve returning exactly that iterate
+    grid, diag, b = system
+    b_before = b.copy()
+    for c in {0.0, float(diag.mean())} if diag.ndim == 0 else {0.0}:
+        x, iters, _, converged = _cg(grid, np.asarray(c), b)
+        work = np.full((6, b.size), np.nan)
+        out = np.full(b.size, np.nan)
+        inv_eig = inverse_eigenvalues(grid.dim, grid.n, grid.h, c)
+        got = sine_solve(b, inv_eig, out, work[0], work[1])
+        assert got is out and (iters, converged) == (1, True)
+        assert got.tobytes() == x.tobytes()
+        assert not np.shares_memory(got, work)
+        assert np.array_equal(b, b_before)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_systems())
+def test_cg_is_exactly_odd_in_its_right_hand_side(system):
+    # Newton hands CG its residual and steps by minus the result
+    grid, diag, b = system
+    x, iters, res, converged = _cg(grid, diag, b)
+    x_neg, iters_neg, res_neg, converged_neg = _cg(grid, diag, -b)
+    assert np.array_equal(x_neg, -x)
+    assert (iters_neg, res_neg, converged_neg) == (iters, res, converged)
 
 
 def _allocating_transform(a):
