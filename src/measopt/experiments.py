@@ -203,7 +203,7 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
 
     def run_schedule(g_fun, tag):
         try:
-            return reduced_limit(grids, measures.__getitem__, g_fun), None
+            return reduced_limit(grids, measures, g_fun), None
         except ConvergenceError as exc:
             partial = getattr(exc, "trace", [])
             detail = f"{tag} schedule diverged at level {len(partial)}: {exc}"

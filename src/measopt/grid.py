@@ -162,29 +162,6 @@ def neg_laplacian_apply(f: ScalarField) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def interpolate_to(f: ScalarField, fine: Grid) -> ScalarField:
-    """Multilinear interpolation of a field onto a finer grid.
-
-    The implicit zero boundary is honored by padding before
-    interpolating, so coarse values near the boundary blend toward 0.
-    Interpolation is separable: each axis blends the left and right
-    coarse neighbours of every fine node in turn.
-    """
-    coarse = f.grid
-    if fine.dim != coarse.dim:
-        raise ValueError("grids must share a dimension")
-    out = np.pad(f.reshaped(), 1)
-    # fine node positions in units of the coarse spacing; padded index i
-    # sits at i * h_coarse, and fine nodes lie strictly inside (0, 1)
-    s = fine.axis_coords() * (coarse.n + 1)
-    left = np.floor(s).astype(np.intp)
-    t = s - left
-    for ax in range(coarse.dim):
-        w = t.reshape([-1 if k == ax else 1 for k in range(coarse.dim)])
-        out = (1.0 - w) * np.take(out, left, axis=ax) + w * np.take(out, left + 1, axis=ax)
-    return ScalarField(fine, out)
-
-
 # ---------------------------------------------------------------------------
 # serialization: flat binary or CSV values plus a JSON sidecar {dim, n}
 # ---------------------------------------------------------------------------

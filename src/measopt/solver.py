@@ -29,12 +29,12 @@ Each iteration stops at the first iterate whose residual passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks, kernels
-from .grid import Grid, ScalarField, _lp, _owned_field
+from .grid import Grid, ScalarField, _lp, _owned_field, w11_norm
 from .measures import DiscreteMeasure, negate, rasterize, tv_norm
 from .nonlinearity import Nonlinearity
 
@@ -356,66 +356,44 @@ class LevelRecord:
     tv_mu: float
     u_l1: float
     g_u_l1: float
-    w11_u: float
     w11_tv_ratio: float
-    cauchy_l1: float
-    iterations: int
-    residual: float
 
 
 @dataclass
 class ReducedLimitResult:
-    u_sharp: ScalarField
     mu_sharp: DiscreteMeasure
-    trace: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    trace: list
+    states: list
 
 
-def reduced_limit(grid_schedule, measure_schedule, g: Nonlinearity) -> ReducedLimitResult:
+def reduced_limit(grids: list, measures: list, g: Nonlinearity) -> ReducedLimitResult:
     """Solve along a coupled grid/measure refinement schedule.
 
-    Each level k solves -Lap u_k + g(u_k) = measure_schedule(k) on
-    grid_schedule[k]; coarse solutions are injected onto the finest grid
-    by multilinear interpolation to report L1 Cauchy differences.  The
+    Level k solves -Lap u_k + g(u_k) = measures[k] on grids[k].  The
     returned mu_sharp is the residual measure of the finest solution, and
     states holds u_k for every level.  The trace also carries the
     empirical ratio w11(u)/tv(mu), for which no sharp constant is asserted.
+    A ConvergenceError leaves the levels solved before it in its ``trace``.
     """
-    from .grid import interpolate_to, w11_norm
-
-    grids = list(grid_schedule)
-    if not grids:
-        raise ValueError("invalid config: empty grid schedule")
+    if not grids or len(measures) != len(grids):
+        raise ValueError("invalid config: need a nonempty grid schedule and one measure per grid")
     if any(b.n <= a.n for a, b in zip(grids, grids[1:])) or \
        any(gr.dim != grids[0].dim for gr in grids):
         raise ValueError("invalid config: grids must refine in one dimension")
-    finest = grids[-1]
     trace = []
     states = []
-    prev_injected = None
-    for k, grid in enumerate(grids):
-        mu = measure_schedule(k)
+    for k, (grid, mu) in enumerate(zip(grids, measures)):
         try:
-            u, report = solve_semilinear(grid, g, mu)
+            u, _ = solve_semilinear(grid, g, mu)
         except ConvergenceError as exc:
             exc.trace = trace
             raise
         states.append(u)
-        injected = interpolate_to(u, finest) if grid != finest else u
-        cauchy = math.nan
-        if prev_injected is not None:
-            cauchy = _lp(injected.values - prev_injected.values, 1.0, finest)
-        prev_injected = injected
         tv_mu = tv_norm(mu)
-        w11 = w11_norm(u)
         trace.append(LevelRecord(
             level=k, n=grid.n, h=grid.h, tv_mu=tv_mu,
             u_l1=_lp(u.values, 1.0, grid),
             g_u_l1=_lp(np.asarray(g(u.values)), 1.0, grid),
-            w11_u=w11,
-            w11_tv_ratio=w11 / tv_mu if tv_mu > 0.0 else math.nan,
-            cauchy_l1=cauchy,
-            iterations=report.iterations,
-            residual=report.final_residual))
-    return ReducedLimitResult(u_sharp=u, mu_sharp=residual_measure(finest, g, u),
+            w11_tv_ratio=w11_norm(u) / tv_mu if tv_mu > 0.0 else math.nan))
+    return ReducedLimitResult(mu_sharp=residual_measure(grids[-1], g, u),
                               trace=trace, states=states)

@@ -12,9 +12,8 @@ from measopt import (ControlProblem, CostUnavailableError, DiscreteMeasure,
                      adjoint_gradient, alpha_sweep, build_grid,
                      check_state_regularity, constant_field, evaluate_cost,
                      lp_norm, named_field, optimize, prox_l1,
-                     solve_linear, solve_semilinear, stability_run, tv_norm,
-                     zeros_field)
-from measopt.control import OptimResult
+                     solve_linear, solve_semilinear, tv_norm, zeros_field)
+from measopt.control import OptimResult, stability_run
 from measopt.solver import residual_measure
 
 

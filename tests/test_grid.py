@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import RegularGridInterpolator
 
-from measopt import (ScalarField, build_grid, constant_field, interpolate_to,
-                     load_field, lp_norm, named_field, neg_laplacian_apply,
-                     save_field, w11_norm, zeros_field)
+from measopt import (ScalarField, build_grid, constant_field, load_field,
+                     lp_norm, named_field, neg_laplacian_apply, save_field,
+                     w11_norm, zeros_field)
 
 
 def test_build_grid_examples():
@@ -159,29 +158,6 @@ def test_neg_laplacian_linear_and_spd():
     # symmetry through the dense assembly
     A = _dense_stencil(g)
     np.testing.assert_allclose(A, A.T, atol=0)
-
-
-def test_interpolate_to_blends_toward_boundary():
-    coarse = build_grid(1, 3)
-    fine = build_grid(1, 7)
-    out = interpolate_to(constant_field(coarse, 1.0), fine)
-    np.testing.assert_allclose(out.values, [0.5, 1, 1, 1, 1, 1, 0.5], atol=1e-14)
-    with pytest.raises(ValueError):
-        interpolate_to(constant_field(coarse, 1.0), build_grid(2, 7))
-
-
-@pytest.mark.parametrize("dim,n_coarse,n_fine",
-                         [(2, 15, 31), (2, 31, 47), (2, 9, 63),
-                          (3, 7, 15), (3, 15, 23), (3, 9, 20)])
-def test_interpolate_to_matches_scipy(dim, n_coarse, n_fine):
-    rng = np.random.default_rng(100 * dim + n_coarse + n_fine)
-    coarse, fine = build_grid(dim, n_coarse), build_grid(dim, n_fine)
-    f = ScalarField(coarse, rng.standard_normal(coarse.total_interior))
-    pts = np.concatenate(([0.0], coarse.axis_coords(), [1.0]))
-    ref = RegularGridInterpolator((pts,) * dim, np.pad(f.reshaped(), 1),
-                                  method="linear")(fine.node_coords())
-    np.testing.assert_allclose(interpolate_to(f, fine).values, ref,
-                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("suffix", [".f64", ".csv"])
