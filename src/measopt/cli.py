@@ -27,7 +27,7 @@ from pathlib import Path
 from .checks import real
 from .control import ControlProblem, CostUnavailableError, OptimizeConfig
 from .control import optimize as optimize_problem
-from .experiments import list_experiments, run_experiment
+from .experiments import list_experiments, run_experiment, write_csv, write_json
 from .grid import build_grid, load_field, named_field, save_field
 from .measures import DiscreteMeasure, describe, tv_norm
 from .nonlinearity import nonlinearity_from_config
@@ -158,16 +158,14 @@ def _cmd_solve(args) -> int:
     print(describe(m))
     u, report = solve_semilinear(grid, g, m, tol=tol)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_field(u, out / "state.f64")
-    with open(out / "solve_report.json", "w", encoding="utf-8") as fh:
-        json.dump({"iterations": report.iterations,
-                   "inner_iterations": report.inner_iterations,
-                   "final_residual": report.final_residual,
-                   "converged": report.converged,
-                   "method": report.method,
-                   "tv_mu": tv_norm(m)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "solve_report.json",
+               {"iterations": report.iterations,
+                "inner_iterations": report.inner_iterations,
+                "final_residual": report.final_residual,
+                "converged": report.converged,
+                "method": report.method,
+                "tv_mu": tv_norm(m)})
     print(f"converged in {report.iterations} Newton step(s), "
           f"residual {report.final_residual:.3e}; wrote {out / 'state.f64'}")
     return 0
@@ -184,20 +182,15 @@ def _cmd_optimize(args) -> int:
         raise ValueError(f"unknown optimizer option(s): {', '.join(sorted(bad))}")
     res = optimize_problem(prob, OptimizeConfig(**opt))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_field(res.mu_star.density, out / "control.f64")
     save_field(res.u_star, out / "state.f64")
-    with open(out / "history.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,f_value,grad_norm,step\n")
-        for h in res.history:
-            fh.write(f"{h.iteration},{h.f_value!r},{h.grad_norm!r},{h.step!r}\n")
-    with open(out / "optimize_report.json", "w", encoding="utf-8") as fh:
-        json.dump({"f_value": res.F_value, "f_zero": res.f_zero,
-                   "tv": tv_norm(res.mu_star), "sparsity": res.sparsity,
-                   "converged": res.converged, "slack": res.slack,
-                   "iterations": len(res.history) - 1},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(out / "history.csv", ["iteration", "f_value", "grad_norm", "step"],
+              [[h.iteration, h.f_value, h.grad_norm, h.step] for h in res.history])
+    write_json(out / "optimize_report.json",
+               {"f_value": res.F_value, "f_zero": res.f_zero,
+                "tv": tv_norm(res.mu_star), "sparsity": res.sparsity,
+                "converged": res.converged, "slack": res.slack,
+                "iterations": len(res.history) - 1})
     print(f"F(mu*) = {res.F_value!r} (F(0) = {res.f_zero!r}), "
           f"tv = {tv_norm(res.mu_star)!r}, sparsity = {res.sparsity:.3f}; "
           f"outputs in {out}")

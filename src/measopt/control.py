@@ -58,8 +58,8 @@ class ControlProblem:
             raise ValueError("invalid config: target field lives on a different grid")
         if self.p != math.inf and not self.p >= 1.0:
             raise ValueError(f"invalid exponent: p must be >= 1 or inf, got {self.p!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"invalid config: alpha must be positive, got {self.alpha!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"invalid config: alpha must be finite and > 0, got {self.alpha!r}")
 
     def misfit(self, u_values: np.ndarray) -> float:
         """||u - u_d||_{L^p,h} of the state with node values u_values."""
@@ -307,15 +307,13 @@ def alpha_sweep(prob: ControlProblem, alphas,
     """
     if prob.p == math.inf:
         raise ValueError("invalid exponent: alpha sweep needs p < inf")
-    alphas = [float(a) for a in alphas]
-    if any(a <= 0.0 for a in alphas):
-        raise ValueError("invalid config: alphas must be positive")
+    problems = [replace(prob, alpha=float(a)) for a in alphas]
     cfg = config or OptimizeConfig()
     rows = []
-    for a in alphas:
-        res = optimize(replace(prob, alpha=a), cfg)
+    for level in problems:
+        res = optimize(level, cfg)
         rows.append(SweepRow(
-            alpha=a,
+            alpha=level.alpha,
             misfit=prob.misfit(res.u_star.values),
             tv=tv_norm(res.mu_star),
             f_value=res.F_value,

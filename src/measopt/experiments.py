@@ -79,10 +79,8 @@ def run_experiment(name: str, parameters: dict | None = None,
     if unknown:
         raise ValueError(f"invalid config: unknown parameter(s) for {name}: {unknown}")
     params = {**defaults, **parameters}
-    out = Path(output_dir) / name
-    out.mkdir(parents=True, exist_ok=True)
-    return fn(ExperimentSpec(name=name, parameters=params, output_dir=out,
-                             seed=int(seed)))
+    return fn(ExperimentSpec(name=name, parameters=params,
+                             output_dir=Path(output_dir) / name, seed=int(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +93,41 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows) -> str:
+def write_csv(path, header, rows) -> str:
+    """Write a table with floats as repr, creating its directory; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(x) for x in row])
     return str(path)
+
+
+def write_json(path, doc) -> str:
+    """Write doc as indented, key-sorted JSON, creating its directory; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return str(path)
+
+
+def _entries(value, key: str, size: int | None = None) -> list:
+    """value as a list (of size entries, if given), else a ValueError naming key."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        want = "a list" if size is None else f"a list of {size} entries"
+        raise ValueError(f"invalid config: {key} must be {want}, got {value!r}")
+    return list(value)
+
+
+def _targets(ud, grids) -> list:
+    """The field that parameter ud names, on each grid; a malformed ud is a ValueError."""
+    if not isinstance(ud, dict) or "name" not in ud:
+        raise ValueError(f"invalid config: ud must be an object with a name, got {ud!r}")
+    return [named_field(grid, ud["name"], ud) for grid in grids]
 
 
 def _row(name, ok, detail, reference, tolerance) -> AssertionRow:
@@ -117,17 +143,14 @@ def _finish(spec, assertions, tables, extras=None) -> ExperimentReport:
         "seed": spec.seed,
         "parameters": {k: _jsonable(v) for k, v in spec.parameters.items()},
         "assertions": [asdict(a) for a in assertions],
-        "tables": [str(t) for t in tables],
+        # relative to the summary, so a rerun in another directory matches
+        "tables": [str(Path(t).relative_to(spec.output_dir)) for t in tables],
         "passed": passed,
     }
     if extras:
         summary["results"] = {k: _jsonable(v) for k, v in extras.items()}
-    path = spec.output_dir / "summary.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ExperimentReport(spec.name, assertions, [str(t) for t in tables],
-                            str(path), passed)
+    path = write_json(spec.output_dir / "summary.json", summary)
+    return ExperimentReport(spec.name, assertions, tables, path, passed)
 
 
 def _jsonable(v):
@@ -186,16 +209,18 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
     q = real(par["q"], "q")
     if q < 3.0:
         raise ValueError(f"invalid config: q must be >= 3, got {q}")
-    p_values = [real(p, "p_values") for p in par["p_values"]]
+    p_values = [real(p, "p_values") for p in _entries(par["p_values"], "p_values")]
     if any(not 1.0 <= p <= q for p in p_values):
         raise ValueError("invalid config: misfit exponents must lie in [1, q]")
-    alpha = real(par["alpha"], "alpha")
-    grids = [build_grid(3, n) for n in par["levels"]]
-    delta = DiscreteMeasure.point([real(c, "center") for c in par["center"]], 1.0)
+    alpha = real(par["alpha"], "alpha", positive=True)
+    grids = [build_grid(3, count(n, "levels")) for n in _entries(par["levels"], "levels")]
+    center = [real(c, "center") for c in _entries(par["center"], "center", 3)]
+    delta = DiscreteMeasure.point(center, 1.0)
     radius_factor = real(par["radius_factor"], "radius_factor")
     measures = [DiscreteMeasure.from_density(mollify(delta, radius_factor * g.h, g))
                 for g in grids]
-    ud_fields = [named_field(g, par["ud"]["name"], par["ud"]) for g in grids]
+    ud_fields = _targets(par["ud"], grids)
+    g_sub = Nonlinearity.power(real(par["subcritical_q"], "subcritical_q"))
 
     assertions = []
     tables = []
@@ -229,8 +254,8 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
         rows.append(row)
     header = ["level", "n", "h", "tv_mu", "u_l1", "g_u_l1", "w11_tv_ratio"]
     header.extend(f"f_p{p:g}" for p in p_values)
-    tables.append(_write_csv(spec.output_dir / "collapse_supercritical.csv",
-                             header, rows))
+    tables.append(write_csv(spec.output_dir / "collapse_supercritical.csv",
+                            header, rows))
 
     u_l1 = [rec.u_l1 for rec in result.trace]
     decreasing = len(u_l1) >= 4 and all(b < a for a, b in zip(u_l1, u_l1[1:]))
@@ -269,15 +294,14 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
         "tv-lower-semicontinuity", "relative 5%"))
     extras["u_l1_supercritical"] = u_l1
 
-    sub_q = real(par["subcritical_q"], "subcritical_q")
-    sub, failure = run_schedule(Nonlinearity.power(sub_q), "subcritical")
+    sub, failure = run_schedule(g_sub, "subcritical")
     if failure is not None:
         assertions.append(failure)
         return _finish(spec, assertions, tables, extras)
     rows = [[rec.level, rec.n, rec.h, rec.tv_mu, rec.u_l1, rec.g_u_l1]
             for rec in sub.trace]
-    tables.append(_write_csv(spec.output_dir / "collapse_subcritical.csv",
-                             ["level", "n", "h", "tv_mu", "u_l1", "g_u_l1"], rows))
+    tables.append(write_csv(spec.output_dir / "collapse_subcritical.csv",
+                            ["level", "n", "h", "tv_mu", "u_l1", "g_u_l1"], rows))
     sub_l1 = [rec.u_l1 for rec in sub.trace]
     stabilized = sub_l1[-1] > 0.0 and \
         abs(sub_l1[-1] - sub_l1[-2]) <= 0.05 * sub_l1[-1]
@@ -326,7 +350,7 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
     if not 1.0 < p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
     theta = real(par["theta"], "theta")
-    alpha = real(par["alpha"], "alpha")
+    alpha = real(par["alpha"], "alpha", positive=True)
     grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(p)
     mu = DiscreteMeasure.from_density(constant_field(grid, real(par["amplitude"], "amplitude")))
@@ -336,9 +360,9 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
     f_theta = evaluate_cost(prob, scale(mu, theta))
     f_mid = evaluate_cost(prob, scale(mu, 0.5 * (1.0 + theta)))
     margin = f_mid - 0.5 * (f_mu + f_theta)
-    tables = [_write_csv(spec.output_dir / "nonconvexity.csv",
-                         ["theta", "f_mu", "f_theta_mu", "f_midpoint", "margin"],
-                         [[theta, f_mu, f_theta, f_mid, margin]])]
+    tables = [write_csv(spec.output_dir / "nonconvexity.csv",
+                        ["theta", "f_mu", "f_theta_mu", "f_midpoint", "margin"],
+                        [[theta, f_mu, f_theta, f_mid, margin]])]
     assertions = [_row(
         "nonconvexity-strict-midpoint", margin > 1e-6,
         f"midpoint F exceeds averaged F by {margin!r}",
@@ -367,8 +391,8 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     par = spec.parameters
     instances = count(par["instances"], "instances")
     rng = np.random.default_rng(spec.seed)
-    lemma_grid = build_grid(par["dim"], par["lemma_n"])
-    trunc_grid = build_grid(par["dim"], par["truncate_n"])
+    lemma_grid = build_grid(par["dim"], count(par["lemma_n"], "lemma_n"))
+    trunc_grid = build_grid(par["dim"], count(par["truncate_n"], "truncate_n"))
     dim = lemma_grid.dim
 
     lemma_inputs = []
@@ -415,10 +439,10 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
 
     rows = [[i, "paired-inequality", s] for i, s in enumerate(lemma_slacks)]
     rows += [[i, "tv-comparison", s] for i, s in enumerate(trunc_slacks)]
-    tables = [_write_csv(spec.output_dir / "truncation_slacks.csv",
-                         ["instance", "kind", "slack"], rows)]
+    tables = [write_csv(spec.output_dir / "truncation_slacks.csv",
+                        ["instance", "kind", "slack"], rows)]
     counts, edges = np.histogram(np.array(lemma_slacks + trunc_slacks), bins=20)
-    tables.append(_write_csv(
+    tables.append(write_csv(
         spec.output_dir / "truncation_slack_histogram.csv",
         ["bin_lo", "bin_hi", "count"],
         [[edges[i], edges[i + 1], int(counts[i])] for i in range(len(counts))]))
@@ -469,7 +493,7 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(real(par["q"], "q"))
     p = real(par["p"], "p")
-    alpha = real(par["alpha"], "alpha")
+    alpha = real(par["alpha"], "alpha", positive=True)
     cfg = OptimizeConfig(max_iter=par["max_iter"])
     rng = np.random.default_rng(spec.seed)
 
@@ -503,7 +527,7 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
         sup_ok.append(sup_margin <= beta)
         if rep.ud_nonnegative:
             sign_ok.append(rep.min_state >= -beta)
-    tables = [_write_csv(
+    tables = [write_csv(
         spec.output_dir / "regularity.csv",
         ["instance", "ud_inf", "ud_nonnegative", "f_zero", "f_star",
          "f_truncated", "slack", "state_slack", "min_state", "max_abs_state",
@@ -574,16 +598,16 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     if not 1.0 <= p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
     g = Nonlinearity.power(p) if p > 1.0 else Nonlinearity.linear(1.0)
-    lo, hi = (real(v, "box") for v in par["box"])
+    lo, hi = (real(v, "box") for v in _entries(par["box"], "box", 2))
     coords = grid.node_coords()
     inside = np.all((coords >= lo) & (coords <= hi), axis=1)
     dens = np.where(inside, real(par["box_amplitude"], "box_amplitude"), 0.0)
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))
-    u_d = named_field(grid, par["ud"]["name"], par["ud"])
+    [u_d] = _targets(par["ud"], [grid])
     prob = ControlProblem(grid, g, u_d, p, real(par["alpha"], "alpha"))
 
-    radii = np.geomspace(real(par["radius_start"], "radius_start"), 4.0 * grid.h,
-                         count(par["radius_count"], "radius_count"))
+    radii = np.geomspace(real(par["radius_start"], "radius_start", positive=True),
+                         4.0 * grid.h, count(par["radius_count"], "radius_count"))
     f_target = evaluate_cost(prob, mu)
     rows = []
     f_values = []
@@ -592,9 +616,9 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
         f_r = evaluate_cost(prob, m_r)
         f_values.append(f_r)
         rows.append([float(r), f_r, f_target, abs(f_r - f_target) / f_target])
-    tables = [_write_csv(spec.output_dir / "mollification.csv",
-                         ["radius", "f_mollified", "f_target", "rel_gap"],
-                         rows)]
+    tables = [write_csv(spec.output_dir / "mollification.csv",
+                        ["radius", "f_mollified", "f_target", "rel_gap"],
+                        rows)]
     rel_final = abs(f_values[-1] - f_target) / f_target
     assertions = [_row(
         "mollification-f-convergence", rel_final <= 0.02,

@@ -45,8 +45,9 @@ class Nonlinearity:
     def power(cls, q: float) -> "Nonlinearity":
         """g(t) = |t|^(q-1) t, q >= 1."""
         q = float(q)
-        if not q >= 1.0:
-            raise ValueError(f"invalid nonlinearity: power exponent must be >= 1, got {q}")
+        if not 1.0 <= q < math.inf:
+            raise ValueError(f"invalid nonlinearity: power exponent must be a finite real >= 1, "
+                             f"got {q}")
 
         def g(t):
             return t * np.abs(t) ** (q - 1.0)
@@ -67,8 +68,9 @@ class Nonlinearity:
     def linear(cls, lam: float) -> "Nonlinearity":
         """g(t) = lam * t with lam >= 0; lam = 0 turns absorption off."""
         lam = float(lam)
-        if lam < 0.0:
-            raise ValueError(f"invalid nonlinearity: linear slope must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"invalid nonlinearity: linear slope must be a finite real >= 0, "
+                             f"got {lam}")
         return cls({"g": lambda t: lam * t,
                     "dg": lambda t: np.full_like(t, lam),
                     "G": lambda t: 0.5 * lam * t * t,
@@ -91,6 +93,8 @@ class Nonlinearity:
         gs = np.asarray(gs, dtype=np.float64)
         if ts.ndim != 1 or ts.shape != gs.shape or ts.size < 2:
             raise ValueError("invalid nonlinearity: table needs matching 1-d arrays, length >= 2")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(gs))):
+            raise ValueError("invalid nonlinearity: table breakpoints and values must be finite")
         if np.any(np.diff(ts) <= 0.0):
             raise ValueError("invalid nonlinearity: table breakpoints must be strictly increasing")
         if np.any(np.diff(gs) < 0.0):
@@ -139,7 +143,7 @@ class Nonlinearity:
             return np.asarray(fn(t), dtype=np.float64)
 
         g0 = float(np.asarray(fn(np.asarray(0.0))))
-        if abs(g0) > 1e-12:
+        if not abs(g0) <= 1e-12:  # NaN fails here too
             raise ValueError(f"invalid nonlinearity: g(0) = {g0:g}, expected 0")
 
         if deriv is not None:

@@ -413,9 +413,9 @@ def test_experiment_config_unknown_key_exits_two(tmp_path, capsys):
 
 # (experiment, overrides, text that stderr must contain, test id)
 INTEGER_OVERRIDES = [
-    ("exp_dirac_collapse", {"levels": [15, 31.5]}, "invalid grid config", None),
+    ("exp_dirac_collapse", {"levels": [15, 31.5]}, "levels must be", None),
     ("exp_nonconvexity", {"n": "9"}, "invalid grid config", None),
-    ("exp_truncation_suite", {"lemma_n": True}, "invalid grid config", None),
+    ("exp_truncation_suite", {"lemma_n": True}, "lemma_n must be", None),
     ("exp_regularity_suite", {"dim": 2.0}, "invalid grid config", None),
     ("exp_mollification_stability", {"n": 9.9}, "invalid grid config", None),
     ("exp_truncation_suite", {"instances": 2.7}, "instances must be", "instances=2.7"),
@@ -442,6 +442,7 @@ def test_experiment_rejects_non_integer_grid_override(tmp_path, capsys, name, ov
     assert run_cli(["experiment", name, "--config", str(cfg),
                     "--out", str(tmp_path / "exp")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 # (experiment, overrides, the key stderr must name)
@@ -471,6 +472,37 @@ def test_experiment_rejects_non_number_override(tmp_path, capsys, name, override
     assert run_cli(["experiment", name, "--config", str(cfg),
                     "--out", str(tmp_path / "exp")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "exp").exists()
+
+
+# (experiment, overrides, the key stderr must name, test id)
+MALFORMED_OVERRIDES = [
+    ("exp_nonconvexity", {"alpha": "x"}, "alpha", "alpha-string"),
+    ("exp_dirac_collapse", {"alpha": 0.0}, "alpha", "alpha-zero"),
+    ("exp_dirac_collapse", {"levels": 5}, "levels", "levels-not-list"),
+    ("exp_dirac_collapse", {"p_values": 2}, "p_values", "p_values-not-list"),
+    ("exp_dirac_collapse", {"center": [0.5, 0.5]}, "center", "center-two-entries"),
+    ("exp_dirac_collapse", {"ud": "sines"}, "ud", "ud-string"),
+    ("exp_dirac_collapse", {"subcritical_q": "2"}, "subcritical_q", "subcritical_q-string"),
+    ("exp_mollification_stability", {"box": [0.4, 0.5, 0.6]}, "box", "box-three-entries"),
+    ("exp_mollification_stability", {"ud": {"amplitude": 0.1}}, "ud", "ud-without-name"),
+    ("exp_mollification_stability", {"radius_start": 0.0}, "radius_start", "radius_start-zero"),
+    ("exp_truncation_suite", {"lemma_n": 2.5}, "lemma_n", "lemma_n-float"),
+    ("exp_truncation_suite", {"truncate_n": 0}, "truncate_n", "truncate_n-zero"),
+]
+
+
+@pytest.mark.parametrize("name,overrides,key", [case[:3] for case in MALFORMED_OVERRIDES],
+                         ids=[f"{case[0]}-{case[3]}" for case in MALFORMED_OVERRIDES])
+def test_experiment_rejects_malformed_override_before_writing(tmp_path, capsys, name,
+                                                              overrides, key):
+    # a rejected parameter names its key and leaves no output directory behind
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides), encoding="utf-8")
+    assert run_cli(["experiment", name, "--config", str(cfg),
+                    "--out", str(tmp_path / "exp")]) == 2
+    assert re.search(rf"\b{key} must be", capsys.readouterr().err)
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.mark.parametrize("command,doc,key", [

@@ -31,8 +31,9 @@ def test_problem_validation():
     grid = build_grid(2, 5)
     with pytest.raises(ValueError):
         _problem(grid, p=0.5)
-    with pytest.raises(ValueError):
-        _problem(grid, alpha=0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            _problem(grid, alpha=alpha)
     with pytest.raises(ValueError):
         _problem(grid, u_d=zeros_field(build_grid(2, 7)))
     assert _problem(grid, p=math.inf).p == math.inf
@@ -410,8 +411,9 @@ def test_alpha_sweep_validation():
     grid = build_grid(2, 5)
     with pytest.raises(ValueError):
         alpha_sweep(_problem(grid, p=math.inf), [0.1])
-    with pytest.raises(ValueError):
-        alpha_sweep(_problem(grid), [0.1, -0.2])
+    for bad in (-0.2, math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            alpha_sweep(_problem(grid), [0.1, bad])
 
 
 # ---------------------------------------------------------------------------

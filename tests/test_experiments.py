@@ -130,6 +130,18 @@ def test_truncation_suite_passes_and_reruns_identically(tmp_path):
         assert Path(t).read_bytes() == first[t]
 
 
+def test_same_seed_summaries_match_across_directories(tmp_path):
+    # summary.json names its tables relative to itself; the report keeps full paths
+    params = {"instances": 5, "lemma_n": 9, "truncate_n": 9}
+    r1 = run_experiment("exp_truncation_suite", params, output_dir=tmp_path / "a", seed=3)
+    r2 = run_experiment("exp_truncation_suite", params, output_dir=tmp_path / "b", seed=3)
+    assert Path(r1.summary_path).read_bytes() == Path(r2.summary_path).read_bytes()
+    summary = json.loads(Path(r1.summary_path).read_text())
+    assert summary["tables"] == ["truncation_slacks.csv", "truncation_slack_histogram.csv"]
+    assert r1.tables == [str(tmp_path / "a" / "exp_truncation_suite" / t)
+                         for t in summary["tables"]]
+
+
 def test_truncation_suite_seed_changes_tables(tmp_path):
     params = {"instances": 5, "lemma_n": 9, "truncate_n": 9}
     r1 = run_experiment("exp_truncation_suite", params,

@@ -176,3 +176,23 @@ def test_from_config_rejects_non_numbers(cfg, key):
     # the problem-file number rule: bools, strings and NaN are not numbers
     with pytest.raises(ValueError, match=rf"\b{key} must be"):
         nonlinearity_from_config(cfg)
+
+
+NON_FINITE_PARAMETERS = [
+    ("linear-nan", lambda: Nonlinearity.linear(math.nan)),
+    ("linear-inf", lambda: Nonlinearity.linear(math.inf)),
+    ("power-inf", lambda: Nonlinearity.power(math.inf)),
+    ("table-nan-breakpoint", lambda: Nonlinearity.table([-1.0, math.nan, 1.0], [-1.0, 0.0, 1.0])),
+    ("table-inf-breakpoint", lambda: Nonlinearity.table([-1.0, 0.0, math.inf], [-1.0, 0.0, 1.0])),
+    ("table-nan-value", lambda: Nonlinearity.table([-1.0, 0.0, 1.0], [-1.0, 0.0, math.nan])),
+    ("table-minus-inf-value", lambda: Nonlinearity.table([-1.0, 0.0, 1.0], [-math.inf, 0.0, 1.0])),
+    ("callable-nan-at-zero", lambda: Nonlinearity.from_callable(lambda t: t * math.nan)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NON_FINITE_PARAMETERS],
+                         ids=[i for i, _ in NON_FINITE_PARAMETERS])
+def test_constructors_reject_non_finite_parameters(build):
+    # each would break g(0) = 0 or make g' non-finite, and fail only inside a solve
+    with pytest.raises(ValueError, match="invalid nonlinearity"):
+        build()
