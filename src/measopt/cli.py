@@ -184,12 +184,14 @@ def _cmd_optimize(args) -> int:
     out = Path(args.out)
     save_field(res.mu_star.density, out / "control.f64")
     save_field(res.u_star, out / "state.f64")
-    write_csv(out / "history.csv", ["iteration", "f_value", "grad_norm", "step"],
-              [[h.iteration, h.f_value, h.grad_norm, h.step] for h in res.history])
+    write_csv(out / "history.csv", ["iteration", "f_value", "grad_norm", "step", "prox_residual"],
+              [[h.iteration, h.f_value, h.grad_norm, h.step, h.prox_residual]
+               for h in res.history])
     write_json(out / "optimize_report.json",
                {"f_value": res.F_value, "f_zero": res.f_zero,
                 "tv": tv_norm(res.mu_star), "sparsity": res.sparsity,
-                "converged": res.converged, "slack": res.slack,
+                "converged": res.converged, "stationarity": res.stationarity,
+                "slack": res.slack,
                 "iterations": len(res.history) - 1})
     print(f"F(mu*) = {res.F_value!r} (F(0) = {res.f_zero!r}), "
           f"tv = {tv_norm(res.mu_star)!r}, sparsity = {res.sparsity:.3f}; "

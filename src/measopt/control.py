@@ -14,7 +14,11 @@ starts from the zero control, so its result never exceeds F(0).
 The line search starts at step STEP0, multiplies the step by BACKTRACK
 after each rejected trial (at most MAX_BACKTRACKS trials per iteration)
 and by STEP_GROW after an accepted one, and the loop stops once the
-relative F decrease falls below F_RTOL.
+relative F decrease falls below F_RTOL.  Neither stop is stationarity:
+a run has converged only where the prox-gradient residual
+r = ||c - soft(c - phi, alpha)||_{2,h} has fallen to STATIONARITY_TOL
+times its value at the zero control, and only for 1 < p < inf, where
+phi is the adjoint of the true misfit.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
 STEP_GROW = 2.0
 F_RTOL = 1e-9
+STATIONARITY_TOL = 1e-6
 
 
 class CostUnavailableError(RuntimeError):
@@ -76,6 +81,7 @@ class HistoryEntry:
     f_value: float
     grad_norm: float
     step: float
+    prox_residual: float
 
 
 @dataclass
@@ -86,6 +92,7 @@ class OptimResult:
     history: list
     sparsity: float
     converged: bool
+    stationarity: float
     slack: float
     f_zero: float
 
@@ -193,6 +200,11 @@ def _soft_threshold(values: np.ndarray, level: float) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - level, 0.0)
 
 
+def _prox_residual(prob: ControlProblem, c: np.ndarray, phi: np.ndarray) -> float:
+    """r = ||c - soft(c - phi, alpha)||_{2,h}, zero exactly at a prox-stationary control c."""
+    return _lp(c - _soft_threshold(c - phi, prob.alpha), 2.0, prob.grid)
+
+
 def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> OptimResult:
     """Minimize F by proximal gradient descent from the zero control.
 
@@ -201,15 +213,18 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     nonincreasing and the result never exceeds F(0).  A run whose very
     first iteration cannot decrease F returns the zero control.  Trial
     controls, fresh and finite, are wrapped without a copy or a scan.
+    ``stationarity`` is r at the result over r at the zero control (0 when
+    that is 0), both from adjoints already solved, and ``converged`` is
+    stationarity <= STATIONARITY_TOL for 1 < p < inf, False otherwise.
     """
     cfg = config or OptimizeConfig()
     grid = prob.grid
     cur = _evaluate(prob, DiscreteMeasure.from_density(zeros_field(grid)))
     f_zero = cur.f  # g(0) = 0, so the zero control has state 0 and F = misfit
     phi = _adjoint_from_state(prob, cur.u.values)
-    history = [HistoryEntry(0, cur.f, _lp(phi, 2.0, grid), 0.0)]
+    history = [HistoryEntry(0, cur.f, _lp(phi, 2.0, grid), 0.0,
+                            _prox_residual(prob, cur.m.density.values, phi))]
     tau = STEP0
-    converged = False
     last_rel = math.inf
     for it in range(1, cfg.max_iter + 1):
         for _ in range(MAX_BACKTRACKS):
@@ -223,17 +238,18 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
                 break
             tau *= BACKTRACK
         else:
-            converged = True  # prox-stationary within line-search resolution
-            break
+            break  # no trial lowers F within line-search resolution
         last_rel = (cur.f - trial.f) / max(abs(cur.f), 1e-300)
         cur = trial
         phi = _adjoint_from_state(prob, cur.u.values)
-        history.append(HistoryEntry(it, cur.f, _lp(phi, 2.0, grid), tau))
+        history.append(HistoryEntry(it, cur.f, _lp(phi, 2.0, grid), tau,
+                                    _prox_residual(prob, cur.m.density.values, phi)))
         tau *= STEP_GROW
         if last_rel < F_RTOL:
-            converged = True
             break
 
+    r0 = history[0].prox_residual
+    stationarity = history[-1].prox_residual / r0 if r0 > 0.0 else 0.0
     slack = max(1e-6, 10.0 * last_rel if math.isfinite(last_rel) else 1e-6)
     return OptimResult(
         mu_star=cur.m,
@@ -241,7 +257,8 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
         F_value=cur.f,
         history=history,
         sparsity=float(np.mean(np.abs(cur.m.density.values) < 1e-12)),
-        converged=converged,
+        converged=1.0 < prob.p < math.inf and stationarity <= STATIONARITY_TOL,
+        stationarity=stationarity,
         slack=slack,
         f_zero=f_zero)
 

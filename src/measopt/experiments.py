@@ -19,7 +19,7 @@ import numpy as np
 from .checks import count, real
 from .control import (ControlProblem, OptimizeConfig, check_state_regularity,
                       evaluate_cost, optimize)
-from .grid import (ScalarField, build_grid, constant_field, named_field,
+from .grid import (_FIELD_KEYS, ScalarField, build_grid, constant_field, named_field,
                    neg_laplacian_apply, _lp)
 from .measures import DiscreteMeasure, mollify, scale, tv_norm
 from .nonlinearity import Nonlinearity
@@ -125,9 +125,19 @@ def _entries(value, key: str, size: int | None = None) -> list:
 
 def _targets(ud, grids) -> list:
     """The field that parameter ud names, on each grid; a malformed ud is a ValueError."""
-    if not isinstance(ud, dict) or "name" not in ud:
-        raise ValueError(f"invalid config: ud must be an object with a name, got {ud!r}")
+    names = sorted(_FIELD_KEYS)
+    if not isinstance(ud, dict) or ud.get("name") not in names:
+        raise ValueError(f"invalid config: ud must be an object with a name in {names}, "
+                         f"got {ud!r}")
     return [named_field(grid, ud["name"], ud) for grid in grids]
+
+
+def _power(value, key: str) -> Nonlinearity:
+    """Nonlinearity.power of the exponent in parameter key, else a ValueError naming key."""
+    q = real(value, key)
+    if not q >= 1.0:
+        raise ValueError(f"invalid config: {key} must be >= 1, got {q}")
+    return Nonlinearity.power(q)
 
 
 def _row(name, ok, detail, reference, tolerance) -> AssertionRow:
@@ -217,10 +227,12 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
     center = [real(c, "center") for c in _entries(par["center"], "center", 3)]
     delta = DiscreteMeasure.point(center, 1.0)
     radius_factor = real(par["radius_factor"], "radius_factor")
+    if not radius_factor >= 2.0:  # mollify resolves a radius of 2h or more
+        raise ValueError(f"invalid config: radius_factor must be >= 2, got {radius_factor}")
     measures = [DiscreteMeasure.from_density(mollify(delta, radius_factor * g.h, g))
                 for g in grids]
     ud_fields = _targets(par["ud"], grids)
-    g_sub = Nonlinearity.power(real(par["subcritical_q"], "subcritical_q"))
+    g_sub = _power(par["subcritical_q"], "subcritical_q")
 
     assertions = []
     tables = []
@@ -491,7 +503,7 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     par = spec.parameters
     instances = count(par["instances"], "instances")
     grid = build_grid(par["dim"], par["n"])
-    g = Nonlinearity.power(real(par["q"], "q"))
+    g = _power(par["q"], "q")
     p = real(par["p"], "p")
     alpha = real(par["alpha"], "alpha", positive=True)
     cfg = OptimizeConfig(max_iter=par["max_iter"])
@@ -606,8 +618,11 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     [u_d] = _targets(par["ud"], [grid])
     prob = ControlProblem(grid, g, u_d, p, real(par["alpha"], "alpha"))
 
-    radii = np.geomspace(real(par["radius_start"], "radius_start", positive=True),
-                         4.0 * grid.h, count(par["radius_count"], "radius_count"))
+    radius_start = real(par["radius_start"], "radius_start")
+    if not radius_start >= 2.0 * grid.h:  # mollify resolves a radius of 2h or more
+        raise ValueError(f"invalid config: radius_start must be >= 2h = {2.0 * grid.h}, "
+                         f"got {radius_start}")
+    radii = np.geomspace(radius_start, 4.0 * grid.h, count(par["radius_count"], "radius_count"))
     f_target = evaluate_cost(prob, mu)
     rows = []
     f_values = []

@@ -158,7 +158,7 @@ def w11_norm(f: ScalarField) -> float:
 def neg_laplacian_apply(f: ScalarField) -> ScalarField:
     """Apply the (2*dim+1)-point stencil (2*dim*f_i - sum_neighbors)/h^2."""
     grid = f.grid
-    out = kernels.neg_laplacian(f.values, grid.dim, grid.n, 1.0 / grid.h ** 2)
+    out = kernels.neg_laplacian(f.values, grid.dim, grid.n)
     return ScalarField(grid, out)
 
 

@@ -1,8 +1,9 @@
 """Dirichlet solvers for -Lap u + g(u) = mu with measure data.
 
-Every linear system (-Lap_h + diag(d)) x = b, d >= 0, takes one path:
-conjugate gradients preconditioned by the sine-transform solve with a
-constant shift (``kernels.cg_shifted``).  The sparse-direct reference
+A linear system (-Lap_h + c I) x = b with a constant shift c >= 0 is
+solved exactly by the sine transform (``kernels.sine_solve``); one with a
+nodal shift d >= 0 by conjugate gradients preconditioned by that solve at
+c = mean(d) (``kernels.cg_shifted``).  The sparse-direct reference
 that tests compare against lives in ``tests/_oracle.py``.  The semilinear
 problem uses damped Newton steps with an Armijo backtracking line
 search on the discrete energy
@@ -76,13 +77,13 @@ class ConvergenceError(RuntimeError):
 def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, work=None):
     """Solve (-Lap_h + diag) x = rhs from x = 0.
 
-    diag is a nodal array, or a scalar for a constant shift; ``work`` is
-    the optional CG workspace of ``kernels.cg_shifted``.  Returns
+    diag is a nodal array (a constant shift is ``kernels.sine_solve``'s);
+    ``work`` is the optional CG workspace of ``kernels.cg_shifted``.  Returns
     (x, inner_iterations, residual_l1), the last being the weighted-L1
     norm of the true residual of x that CG computed.
     """
     x, iters, res_l1, converged = kernels.cg_shifted(
-        rhs, np.asarray(diag, dtype=np.float64), grid.dim, grid.n, grid.h,
+        rhs, np.asarray(diag, dtype=np.float64), grid.dim, grid.n,
         atol_l1, maxiter=40 * grid.n + 200, work=work)
     if not converged:
         raise ConvergenceError(
@@ -92,21 +93,18 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, work=None):
 
 
 def _neg_lap(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
-    return kernels.neg_laplacian(values, grid.dim, grid.n, 1.0 / grid.h ** 2, out=out)
+    return kernels.neg_laplacian(values, grid.dim, grid.n, out=out)
 
 
 def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
-    """Solve -Lap_h u = m on the grid.
+    """Solve -Lap_h u = m on the grid: the state solve with g = 0.
 
-    Returns
-    -------
-    (ScalarField, SolveReport); the report residual is the weighted-L1
-    norm of -Lap_h u - rasterize(m).
+    ``solve_semilinear`` starts at the exact sine-transform solve and
+    stops there once its residual passes, so this takes no Newton step.
+    Returns (ScalarField, SolveReport); the report residual is the
+    weighted-L1 norm of -Lap_h u - rasterize(m).
     """
-    tol = checks.real(tol, "tol", positive=True)
-    rhs = rasterize(m, grid).values
-    x, inner, res = _solve_shifted(grid, 0.0, rhs, atol_l1=tol)
-    return ScalarField(grid, x), SolveReport(1, res, True, method="cg", inner_iterations=inner)
+    return solve_semilinear(grid, Nonlinearity.zero(), m, tol)
 
 
 def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, lap, res):
@@ -159,9 +157,9 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     rhs = rasterize(m, grid).values
     work = np.empty((6, rhs.size))
     cand, cand_res, lap = work[:3]
-    u = kernels.sine_solve(rhs, kernels.inverse_eigenvalues(grid.dim, grid.n, grid.h, 0.0),
-                           np.empty_like(rhs), cand, lap)
-    accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.h, out=lap))
+    u = kernels.sine_solve(rhs, kernels.inverse_eigenvalues(grid.dim, grid.n, 0.0),
+                           grid.dim, grid.n, np.empty_like(rhs), cand, lap)
+    accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.n, out=lap))
 
     res_vec = np.empty_like(rhs)
     residual, quad = _evaluate(grid, g, rhs, u, lap, res_vec)
@@ -225,9 +223,10 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     """Monotone iteration between an ordered sub/supersolution pair.
 
     Iterates u_{k+1} = (-Lap_h + lam I)^{-1}(rhs + lam u_k - g(u_k))
-    from the supersolution with lam >= max g' on the bracket; iterates
-    decrease pointwise and stay above the subsolution.  g is evaluated
-    once at each bound and once per iterate.
+    from the supersolution with lam >= max g' on the bracket, each an
+    exact sine-transform solve; iterates decrease pointwise and stay
+    above the subsolution.  g is evaluated once at each bound and once
+    per iterate.
     """
     tol = checks.real(tol, "tol", positive=True)
     max_iter = checks.count(max_iter, "max_iter")
@@ -244,12 +243,12 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         raise ValueError("invalid bracket: upper bound is not a supersolution")
     lam = g.max_derivative(float(lo.min()), float(hi.max()))
 
+    inv_eig = kernels.inverse_eigenvalues(grid.dim, grid.n, lam)
+    mid, tmp = np.empty((2, rhs.size))
     u = hi.copy()
-    inner_total = 0
     for it in range(1, max_iter + 1):
         target = rhs + lam * u - gu
-        nxt, inner, _ = _solve_shifted(grid, lam, target, atol_l1=tol * 1e-2)
-        inner_total += inner
+        nxt = kernels.sine_solve(target, inv_eig, grid.dim, grid.n, np.empty_like(u), mid, tmp)
         if np.any(nxt > u + 1e-10):
             raise ConvergenceError("monotone iteration failed to decrease",
                                    field=ScalarField(grid, nxt))
@@ -259,11 +258,10 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         u = nxt
         gu = np.asarray(g(u))
         residual = _lp(_neg_lap(grid, u) + gu - rhs, 1.0, grid)
-        accept = max(tol, kernels.rounding_floor(rhs, u, gu, grid.dim, grid.h))
+        accept = max(tol, kernels.rounding_floor(rhs, u, gu, grid.dim, grid.n, out=tmp))
         if residual <= accept:
             break
-    report = SolveReport(it, residual, residual <= accept, method="monotone+cg",
-                         inner_iterations=inner_total)
+    report = SolveReport(it, residual, residual <= accept, method="monotone")
     if not report.converged:
         raise ConvergenceError(f"no convergence: monotone iteration residual {residual:.3e}",
                                report=report, field=ScalarField(grid, u))

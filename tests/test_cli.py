@@ -219,12 +219,13 @@ def test_optimize_outputs_and_monotone_history(tmp_path, capsys):
         assert (out / name).exists()
 
     with open(out / "history.csv", "r", encoding="utf-8") as fh:
-        assert fh.readline().strip() == "iteration,f_value,grad_norm,step"
-        f_values = []
+        assert fh.readline().strip() == "iteration,f_value,grad_norm,step,prox_residual"
+        f_values, residuals = [], []
         for line in fh:
             cells = line.strip().split(",")
             assert repr(float(cells[1])) == cells[1]
             f_values.append(float(cells[1]))
+            residuals.append(float(cells[4]))
     assert len(f_values) >= 2
     assert all(b < a for a, b in zip(f_values, f_values[1:]))
 
@@ -232,6 +233,8 @@ def test_optimize_outputs_and_monotone_history(tmp_path, capsys):
     assert report["f_value"] == f_values[-1]
     assert report["f_value"] <= report["f_zero"]
     assert report["iterations"] == len(f_values) - 1
+    assert report["stationarity"] == residuals[-1] / residuals[0]
+    assert report["converged"] == (report["stationarity"] <= 1e-6)
 
     control = load_field(out / "control.f64")
     assert control.grid == build_grid(2, 9)
@@ -489,6 +492,13 @@ MALFORMED_OVERRIDES = [
     ("exp_mollification_stability", {"radius_start": 0.0}, "radius_start", "radius_start-zero"),
     ("exp_truncation_suite", {"lemma_n": 2.5}, "lemma_n", "lemma_n-float"),
     ("exp_truncation_suite", {"truncate_n": 0}, "truncate_n", "truncate_n-zero"),
+    ("exp_dirac_collapse", {"subcritical_q": 0.5}, "subcritical_q", "subcritical_q-below-one"),
+    ("exp_regularity_suite", {"q": 0.5}, "q", "q-below-one"),
+    ("exp_dirac_collapse", {"ud": {"name": "bogus"}}, "ud", "ud-unknown-name"),
+    ("exp_mollification_stability", {"ud": {"name": "bogus"}}, "ud", "ud-unknown-name"),
+    ("exp_dirac_collapse", {"radius_factor": 1.0}, "radius_factor", "radius_factor-below-two"),
+    ("exp_mollification_stability", {"radius_start": 0.01}, "radius_start",
+     "radius_start-below-2h"),
 ]
 
 

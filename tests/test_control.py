@@ -13,7 +13,7 @@ from measopt import (ControlProblem, CostUnavailableError, DiscreteMeasure,
                      check_state_regularity, constant_field, evaluate_cost,
                      lp_norm, named_field, optimize, prox_l1,
                      solve_linear, solve_semilinear, tv_norm, zeros_field)
-from measopt.control import OptimResult, stability_run
+from measopt.control import F_RTOL, OptimResult, stability_run
 from measopt.solver import residual_measure
 
 
@@ -281,6 +281,36 @@ def test_optimize_huge_alpha_stalls_at_zero():
     assert res.converged
 
 
+def test_optimize_stopped_by_f_rtol_has_not_converged():
+    # the first criterion-10 level stops on F_RTOL after 22 of 150
+    # iterations, with r / r(0) near 1e-4: F has stalled short of a
+    # stationary point.  On n = 9 the same problem reaches 1e-6.
+    for n, converged in ((31, False), (9, True)):
+        grid = build_grid(2, n)
+        u_d = named_field(grid, "sines", {"amplitude": 0.1})
+        res = optimize(_problem(grid, alpha=0.1, u_d=u_d), OptimizeConfig(max_iter=150))
+        f = [e.f_value for e in res.history]
+        assert len(f) - 1 < 150 and (f[-2] - f[-1]) / f[-2] < F_RTOL
+        r = [e.prox_residual for e in res.history]
+        assert res.stationarity == r[-1] / r[0]
+        assert res.converged is converged
+        assert (res.stationarity <= 1e-6) is converged
+        if not converged:
+            assert 1e-5 < res.stationarity < 1e-3
+
+
+@pytest.mark.parametrize("p,alpha", [(math.inf, 0.003125), (math.inf, 0.0125),
+                                     (1.0, 0.05), (1.0, 0.0125)])
+def test_optimize_with_a_smoothed_misfit_never_converges(p, alpha):
+    # each run stops early, on F_RTOL or a failed line search, at an r of
+    # the smoothed misfit, which says nothing about the true F
+    grid = build_grid(2, 9)
+    u_d = named_field(grid, "sines", {"amplitude": 0.1})
+    res = optimize(_problem(grid, p=p, alpha=alpha, u_d=u_d), OptimizeConfig(max_iter=150))
+    assert len(res.history) - 1 < 150
+    assert not res.converged
+
+
 def test_optimize_contracts():
     grid = build_grid(2, 13)
     u_d = named_field(grid, "sines", {"amplitude": 1.0})
@@ -339,7 +369,7 @@ def _result_for(prob, m, tol=1e-10):
     u, _ = solve_semilinear(prob.grid, prob.g, m, tol=tol)
     f = evaluate_cost(prob, m)
     return OptimResult(mu_star=m, u_star=u, F_value=f, history=[],
-                       sparsity=0.0, converged=True, slack=1e-6,
+                       sparsity=0.0, converged=True, stationarity=0.0, slack=1e-6,
                        f_zero=lp_norm(prob.u_d, prob.p))
 
 

@@ -1,12 +1,14 @@
-"""The CG workspace contract, the exact shifted solve and the allocation bounds."""
+"""The grid plan, the CG workspace contract, the exact shifted solve and the allocation bounds."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measopt import DiscreteMeasure, Nonlinearity, ScalarField, build_grid, solve_semilinear
-from measopt.kernels import (_sine_matrix, _sine_transform, cg_shifted, inverse_eigenvalues,
+from measopt import (DiscreteMeasure, Nonlinearity, ScalarField, build_grid, rasterize,
+                     solve_linear, solve_semilinear)
+from measopt.kernels import (_sine_transform, cg_shifted, grid_plan, inverse_eigenvalues,
                              sine_solve)
 
 _MAX_N = {1: 40, 2: 16, 3: 8}
@@ -30,7 +32,7 @@ def _systems(draw):
 
 
 def _cg(grid, diag, b, work=None, maxiter=200):
-    return cg_shifted(b, diag, grid.dim, grid.n, grid.h, 1e-12, maxiter, work=work)
+    return cg_shifted(b, diag, grid.dim, grid.n, 1e-12, maxiter, work=work)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -59,8 +61,8 @@ def test_the_exact_solve_is_the_one_iteration_cg_bitwise(system):
         x, iters, _, converged = _cg(grid, np.asarray(c), b)
         work = np.full((6, b.size), np.nan)
         out = np.full(b.size, np.nan)
-        inv_eig = inverse_eigenvalues(grid.dim, grid.n, grid.h, c)
-        got = sine_solve(b, inv_eig, out, work[0], work[1])
+        inv_eig = inverse_eigenvalues(grid.dim, grid.n, c)
+        got = sine_solve(b, inv_eig, grid.dim, grid.n, out, work[0], work[1])
         assert got is out and (iters, converged) == (1, True)
         assert got.tobytes() == x.tobytes()
         assert not np.shares_memory(got, work)
@@ -81,7 +83,7 @@ def test_cg_is_exactly_odd_in_its_right_hand_side(system):
 def _allocating_transform(a):
     """The transform as a chain of allocating products, one per axis."""
     n = a.shape[0]
-    s = _sine_matrix(n)
+    s = grid_plan(a.ndim, n).sine
     t = a.reshape(-1, n) @ s
     for ax in range(a.ndim - 1):
         t = s @ t.reshape(n ** ax, n, -1)
@@ -95,11 +97,46 @@ def test_sine_transform_into_buffers_matches_the_allocating_products_bitwise(dim
     a_before = a.copy()
     ref = _allocating_transform(a)
     out, tmp = np.full(a.size, np.nan), np.full(a.size, np.nan)
-    t = _sine_transform(a, out=out, tmp=tmp)
-    assert np.shares_memory(t, out)
-    assert np.array_equal(t, ref)
-    assert np.array_equal(_sine_transform(a), ref)
+    t = _sine_transform(a.reshape(-1), grid_plan(dim, n), out, tmp)
+    assert t is out
+    assert np.array_equal(t, ref.reshape(-1))
     assert np.array_equal(a, a_before)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_the_grid_plan_holds_the_closed_forms(dim, n):
+    plan = grid_plan(dim, n)
+    assert plan.h == 1.0 / (n + 1) and plan.hd == plan.h ** dim
+    j = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    np.testing.assert_allclose(plan.sine, s, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(plan.sine @ plan.sine, np.eye(n), rtol=0.0, atol=1e-13)
+    lam1 = 4.0 * (n + 1) ** 2 * np.sin(np.pi * j / (2.0 * (n + 1))) ** 2
+    lam = sum(np.expand_dims(lam1, [k for k in range(dim) if k != ax]) for ax in range(dim))
+    np.testing.assert_allclose(plan.eig, np.broadcast_to(lam, (n,) * dim).reshape(-1),
+                               rtol=1e-13, atol=0.0)
+    again = grid_plan(dim, n)
+    assert again.sine is plan.sine and again.eig is plan.eig
+    for a in (plan.sine, plan.eig):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_systems())
+def test_solve_linear_is_the_exact_sine_solve_bitwise(system):
+    # the g = 0 state solve stops at its start, the exact solve at c = 0
+    grid, _, b = system
+    m = DiscreteMeasure(grid.dim, atoms=((tuple(np.full(grid.dim, 0.4)), float(b[0])),),
+                        density=ScalarField(grid, b))
+    rhs = rasterize(m, grid).values
+    work = np.empty((3, rhs.size))
+    exact = sine_solve(rhs, inverse_eigenvalues(grid.dim, grid.n, 0.0), grid.dim, grid.n, *work)
+    u, report = solve_linear(grid, m)
+    assert u.values.tobytes() == exact.tobytes()
+    assert report.converged and (report.iterations, report.inner_iterations) == (0, 0)
 
 
 def _state_problem(n):

@@ -15,7 +15,7 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
 import measopt.kernels
 import measopt.solver
 from measopt.grid import neg_laplacian_apply
-from measopt.kernels import _sine_transform
+from measopt.kernels import _sine_transform, grid_plan
 from measopt.solver import _solve_shifted, solve_by_sub_supersolution
 
 from _oracle import _solve_direct, weak_star_pairing
@@ -48,7 +48,7 @@ def test_solve_linear_quadratic_exact():
     u, report = solve_linear(g, _const_measure(g, 1.0))
     np.testing.assert_allclose(u.values, [0.09375, 0.125, 0.09375], atol=1e-13)
     assert report.converged
-    assert report.method == "cg"
+    assert report.method == "newton+cg" and report.iterations == 0
 
 
 def test_solve_linear_zero_measure():
@@ -75,7 +75,7 @@ def test_solve_linear_cg_path_matches_sparse_direct():
     rng = np.random.default_rng(43)
     dens = ScalarField(g, rng.standard_normal(g.total_interior))
     u, report = solve_linear(g, DiscreteMeasure.from_density(dens))
-    assert report.method == "cg"
+    assert report.method == "newton+cg" and report.iterations == 0
     assert report.final_residual <= 1e-10
 
     ref = _solve_direct(g, 0.0, dens.values)
@@ -103,13 +103,19 @@ def _shifted_systems(draw):
     return grid, diag, rhs
 
 
+def _transform(a):
+    """The sine transform of a over all its axes, into fresh buffers."""
+    out, tmp = np.empty(a.size), np.empty(a.size)
+    return _sine_transform(a.reshape(-1), grid_plan(a.ndim, a.shape[0]), out, tmp).reshape(a.shape)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 7, 31])
 def test_sine_transform_is_an_orthonormal_involution(dim, n):
     a = np.random.default_rng(10 * dim + n).standard_normal((n,) * dim)
-    t = _sine_transform(a)
+    t = _transform(a)
     assert t.shape == a.shape
-    np.testing.assert_allclose(_sine_transform(t), a, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(_transform(t), a, rtol=0.0, atol=1e-12)
     assert np.linalg.norm(t) == pytest.approx(np.linalg.norm(a), rel=1e-12)
     if dim == 1:
         j = np.arange(1, n + 1)
@@ -120,8 +126,8 @@ def test_sine_transform_is_an_orthonormal_involution(dim, n):
         # separable: each axis transformed exactly once, by the 1-D transform
         vs = np.random.default_rng(n).standard_normal((dim, n))
         outer = functools.reduce(np.multiply.outer, vs)
-        ref = functools.reduce(np.multiply.outer, [_sine_transform(v) for v in vs])
-        np.testing.assert_allclose(_sine_transform(outer), ref, rtol=0.0, atol=1e-12)
+        ref = functools.reduce(np.multiply.outer, [_transform(v) for v in vs])
+        np.testing.assert_allclose(_transform(outer), ref, rtol=0.0, atol=1e-12)
 
 
 def _padded_stencil(a, inv_h2):
@@ -140,8 +146,8 @@ def _padded_stencil(a, inv_h2):
 @given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 def test_stencil_matches_zero_padded_formula_bitwise(dim, n, seed):
     a = np.random.default_rng(seed).standard_normal((n,) * dim)
-    inv_h2 = float(n + 1) ** 2
-    out = measopt.kernels.neg_laplacian(a.reshape(-1), dim, n, inv_h2)
+    inv_h2 = 1.0 / build_grid(dim, n).h ** 2
+    out = measopt.kernels.neg_laplacian(a.reshape(-1), dim, n)
     assert np.array_equal(out, _padded_stencil(a, inv_h2).reshape(-1))
 
 
@@ -159,20 +165,20 @@ def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
     x1, x2 = np.meshgrid(np.arange(1, n + 1) * h, np.arange(1, n + 1) * h, indexing="ij")
     diag = (1.0 + 500.0 * np.exp(-((x1 - 0.3) ** 2 + (x2 - 0.6) ** 2) / 0.01)).reshape(-1)
     b = np.random.default_rng(5).standard_normal(n * n)
-    x, iters, _, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h,
+    x, iters, _, converged = measopt.kernels.cg_shifted(b, diag, 2, n,
                                                         atol_l1=1e-12, maxiter=200)
     assert converged and iters >= 3
     assert len(calls) == 1
-    residual = stencil(x, 2, n, 1.0 / h ** 2) + diag * x - b
+    residual = stencil(x, 2, n) + diag * x - b
     assert np.abs(residual).sum() * h * h <= 1e-12
 
     # a capped run also reaches the stencil once, and reports the true
     # residual of what it returns
     calls.clear()
-    x, iters, res_l1, converged = measopt.kernels.cg_shifted(b, diag, 2, n, h,
+    x, iters, res_l1, converged = measopt.kernels.cg_shifted(b, diag, 2, n,
                                                              atol_l1=1e-12, maxiter=1)
     assert (iters, converged, len(calls)) == (1, False, 1)
-    true_residual = b - (stencil(x, 2, n, 1.0 / h ** 2) + diag * x)
+    true_residual = b - (stencil(x, 2, n) + diag * x)
     assert res_l1 == h ** 2 * float(np.abs(true_residual).sum())
 
 
@@ -207,7 +213,7 @@ def test_solve_shifted_matches_sparse_direct(system, atol):
     ref = _solve_direct(grid, diag, rhs)
     np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
     residual = neg_laplacian_apply(ScalarField(grid, x)).values + diag * x - rhs
-    floor = measopt.kernels.rounding_floor(rhs, x, diag * x, grid.dim, grid.h)
+    floor = measopt.kernels.rounding_floor(rhs, x, diag * x, grid.dim, grid.n, np.empty(x.size))
     assert lp_norm(ScalarField(grid, residual), 1.0) <= max(atol, floor)
 
 
@@ -226,8 +232,8 @@ def test_tolerance_below_the_rounding_floor_is_met_at_the_floor(solve):
         u, report = solve_semilinear(grid, Nonlinearity.power(3.0), m, tol=1e-12)
         f_bound = rhs
     assert report.converged
-    assert report.final_residual <= measopt.kernels.rounding_floor(rhs, u.values, f_bound,
-                                                                   grid.dim, grid.h)
+    assert report.final_residual <= measopt.kernels.rounding_floor(
+        rhs, u.values, f_bound, grid.dim, grid.n, np.empty(rhs.size))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +666,22 @@ def test_monotone_iteration_evaluates_g_once_per_iterate(monkeypatch):
     assert len(g_calls) == 2 + report.iterations
 
 
+def test_monotone_iteration_runs_no_cg(monkeypatch):
+    # every lam-shifted solve is the exact sine-transform solve
+    grid = build_grid(2, 9)
+    m = _const_measure(grid, 5.0)
+    upper, _ = solve_linear(grid, m)
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a constant-shift solve ran CG")
+
+    monkeypatch.setattr(measopt.kernels, "cg_shifted", no_cg)
+    _, report = solve_by_sub_supersolution(grid, Nonlinearity.power(2.0), m,
+                                           zeros_field(grid), upper)
+    assert report.converged and report.iterations > 1
+    assert (report.method, report.inner_iterations) == ("monotone", 0)
+
+
 def test_monotone_iteration_accepts_the_rounding_floor():
     # on 1-D n = 1023 the residual stalls at 1.6e-10, above tol = 1e-10 but
     # below the rounding floor of its own evaluation (about 7.8e-10)
@@ -668,8 +690,8 @@ def test_monotone_iteration_accepts_the_rounding_floor():
     m = DiscreteMeasure.point((0.3,), 1.0)
     upper, _ = solve_linear(grid, m)
     u, report = solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper, max_iter=300)
-    floor = measopt.kernels.rounding_floor(
-        rasterize(m, grid).values, u.values, g(u.values), grid.dim, grid.h)
+    floor = measopt.kernels.rounding_floor(rasterize(m, grid).values, u.values, g(u.values),
+                                           grid.dim, grid.n, np.empty(u.values.size))
     assert report.converged and report.iterations < 300
     assert report.final_residual <= floor
     u_newton, _ = solve_semilinear(grid, g, m)
@@ -720,7 +742,7 @@ def test_monotone_iteration_cap_carries_partial_result():
         solve_by_sub_supersolution(grid, g, m, zeros_field(grid), upper, max_iter=1)
     assert err.value.field is not None
     assert err.value.report.converged is False
-    assert err.value.report.method == "monotone+cg"
+    assert err.value.report.method == "monotone"
 
 
 # ---------------------------------------------------------------------------
