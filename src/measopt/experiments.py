@@ -345,13 +345,19 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
 def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
     """Midpoint inequality (F(mu) + F(theta mu))/2 < F((1+theta)/2 mu).
 
-    With g(t) = |t|^(p-1) t, u_d the exact state of mu, and mu a positive
-    density, the tv terms cancel in the midpoint comparison, so the
-    margin isolates the strict nonconvexity contributed by the misfit.
-    Needs p > 1; for p = 1 the construction degenerates (g linear) and
-    the run reports a skip.
+    With g(t) = |t|^(p-1) t, u_d the exact state of mu, mu a positive
+    density and theta > 1, the tv terms cancel in the midpoint comparison,
+    so the margin isolates the strict nonconvexity contributed by the
+    misfit.  For 0 < theta < 1 the margin is never positive: g is convex
+    on the nonnegative states, so s -> S(s mu) is concave and the misfit
+    is convex on [theta, 1].  Needs p > 1; for p = 1 the construction
+    degenerates (g linear) and the run reports a skip.
     """
     par = spec.parameters
+    theta = real(par["theta"], "theta")
+    if not theta > 1.0:
+        raise ValueError(f"invalid config: theta must be > 1, got {theta}")
+    amplitude = real(par["amplitude"], "amplitude", positive=True)
     p = real(par["p"], "p")
     if p == 1.0:
         row = AssertionRow("nonconvexity-strict-midpoint", "skip",
@@ -361,11 +367,10 @@ def exp_nonconvexity(spec: ExperimentSpec) -> ExperimentReport:
         return _finish(spec, [row], [])
     if not 1.0 < p < math.inf:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
-    theta = real(par["theta"], "theta")
     alpha = real(par["alpha"], "alpha", positive=True)
     grid = build_grid(par["dim"], par["n"])
     g = Nonlinearity.power(p)
-    mu = DiscreteMeasure.from_density(constant_field(grid, real(par["amplitude"], "amplitude")))
+    mu = DiscreteMeasure.from_density(constant_field(grid, amplitude))
     u_mu, _ = solve_semilinear(grid, g, mu, tol=1e-12)
     prob = ControlProblem(grid, g, u_mu, p, alpha)
     f_mu = evaluate_cost(prob, mu)
@@ -611,9 +616,18 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
         raise ValueError(f"invalid config: need 1 <= p < inf, got {p}")
     g = Nonlinearity.power(p) if p > 1.0 else Nonlinearity.linear(1.0)
     lo, hi = (real(v, "box") for v in _entries(par["box"], "box", 2))
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"invalid config: box must be [lo, hi] with 0 <= lo < hi <= 1, "
+                         f"got {par['box']!r}")
     coords = grid.node_coords()
     inside = np.all((coords >= lo) & (coords <= hi), axis=1)
-    dens = np.where(inside, real(par["box_amplitude"], "box_amplitude"), 0.0)
+    if not inside.any():
+        raise ValueError(f"invalid config: box must be wide enough to hold a grid node, "
+                         f"got {par['box']!r}")
+    amplitude = real(par["box_amplitude"], "box_amplitude")
+    if amplitude == 0.0:
+        raise ValueError("invalid config: box_amplitude must be nonzero, got 0")
+    dens = np.where(inside, amplitude, 0.0)
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))
     [u_d] = _targets(par["ud"], [grid])
     prob = ControlProblem(grid, g, u_d, p, real(par["alpha"], "alpha"))

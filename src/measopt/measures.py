@@ -176,8 +176,15 @@ def mollify(m: DiscreteMeasure, radius: float, grid: Grid) -> ScalarField:
         w_k = bump_kernel(sum(mm ** 2 for mm in mesh) / radius ** 2)
         w_k /= w_k.sum()
         dens = np.pad(m.density.reshaped(), reach, mode="symmetric")
-        for off in np.argwhere(w_k).tolist():
-            vals += w_k[tuple(off)] * dens[tuple(slice(o, o + n) for o in off)]
+        # one product per kernel row w = w_k[lead]: the band holds w[o] at
+        # (j + o, j), so dens @ band sums w[o] dens[..., j + o] along the
+        # last axis
+        band = np.zeros((n + 2 * reach, n))
+        at = (np.add.outer(np.arange(2 * reach + 1), np.arange(n)), np.arange(n))
+        for lead in np.ndindex(w_k.shape[:-1]):
+            if w_k[lead].any():
+                band[at] = w_k[lead][:, None]
+                vals += dens[tuple(slice(o, o + n) for o in lead)] @ band
     return ScalarField(grid, vals.reshape(-1))
 
 

@@ -3,8 +3,9 @@
 Four kinds are supported: signed power |t|^(q-1) t with q >= 1, linear
 lambda*t with lambda >= 0, monotone piecewise-linear tables, and
 user-supplied callables.  Every kind exposes pointwise evaluation, a
-one-sided (right) derivative, a primitive with G(0) = 0 for energy
-line searches, and a derivative bound over an interval.
+one-sided (right) derivative, which is all that Newton's residual line
+search reads, a primitive with G(0) = 0 (the discrete energy, which
+tests evaluate), and a derivative bound over an interval.
 """
 from __future__ import annotations
 

@@ -5,15 +5,9 @@ solved exactly by the sine transform (``kernels.sine_solve``); one with a
 nodal shift d >= 0 by conjugate gradients preconditioned by that solve at
 c = mean(d) (``kernels.cg_shifted``).  The sparse-direct reference
 that tests compare against lives in ``tests/_oracle.py``.  The semilinear
-problem uses damped Newton steps with an Armijo backtracking line
-search on the discrete energy
-
-    E(u) = 0.5 <u, -Lap_h u>_h + sum G(u_i) h^dim - <rhs, u>_h,
-
-whose gradient is exactly the PDE residual.  Each trial point is
-evaluated once for its residual, and one test accepts it: for a full
-step a smaller residual, or else the Armijo decrease.  The energy, the
-only use of G, is evaluated lazily where the Armijo test runs.  Newton
+problem uses damped Newton steps, and one rule accepts a trial point:
+its residual is strictly below the iterate's; otherwise the step
+halves.  Each trial point is evaluated once, for its residual.  Newton
 starts at the Poisson solution, one exact sine-transform solve.  A state
 solve allocates one CG workspace (``kernels.cg_shifted``) and passes it
 to every shifted solve; the Newton loop writes the stencil,
@@ -107,23 +101,14 @@ def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     return solve_semilinear(grid, Nonlinearity.zero(), m, tol)
 
 
-def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, lap, res):
-    """Write -Lap_h u into lap and the residual -Lap_h u + g(u) - rhs into res.
+def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, lap, res) -> float:
+    """Write the residual -Lap_h u + g(u) - rhs into res; return its weighted-L1 norm.
 
-    Returns the residual's weighted-L1 norm and the quadratic part
-    0.5 <u, -Lap_h u>_h of the energy; lap ends as scratch.
+    lap is scratch.
     """
-    hd = grid.cell_volume
     _neg_lap(grid, u, out=lap)
-    quad = 0.5 * float(u @ lap) * hd
     np.subtract(np.add(lap, np.asarray(g(u)), out=res), rhs, out=res)
-    return float(np.abs(res, out=lap).sum()) * hd, quad
-
-
-def _energy(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, quad: float) -> float:
-    """The energy at u from its quadratic part; the one place G is evaluated."""
-    hd = grid.cell_volume
-    return quad + float(g.primitive(u).sum()) * hd - float(rhs @ u) * hd
+    return float(np.abs(res, out=lap).sum()) * grid.cell_volume
 
 
 def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
@@ -136,16 +121,16 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
     semilinear solution obeys the same bound.  ``_evaluate`` gives the
     residual and its norm at each trial point, evaluating g once there, and
-    the loop carries them from the accepted trial.  A trial is accepted when,
-    for a full step, it lowers the residual, or else when it passes the
-    Armijo test on the energy: near the fixed point the energy decrement
-    drops below rounding.  The residual test runs first, so G is evaluated
-    only where the Armijo test runs, at most once per trial and once per
-    iterate.  Newton stops at the first iterate whose residual passes tol or
-    the rounding floor of rhs and u0 (sum |g(u)| is at most sum |rhs| by
-    absorption), so tol is the residual the state reaches.  An iterate at
-    which g is not finite ends the solve with a ConvergenceError that
-    carries it, as does a step that no trial can accept.
+    the loop carries them from the accepted trial.  One rule accepts a
+    trial u - tau e: its weighted-L1 residual is strictly below the
+    iterate's; otherwise tau halves, down to 1e-12.  For differentiable g
+    the Newton step gives R(u - tau e) = (1 - tau) R(u) + o(tau) for the
+    residual R, so some halving lowers its norm.  Newton stops at the first
+    iterate whose residual passes tol or the rounding floor of rhs and u0
+    (sum |g(u)| is at most sum |rhs| by absorption), so tol is the residual
+    the state reaches.  An iterate at which g is not finite ends the solve
+    with a ConvergenceError that carries it, as does a step that no trial
+    can accept.
 
     One CG workspace serves every shifted solve; between solves its
     slots hold the trial point, its residual and the stencil's output,
@@ -153,7 +138,6 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     the loop keeps; the returned field wraps the iterate without a copy.
     """
     tol = checks.real(tol, "tol", positive=True)
-    hd = grid.cell_volume
     rhs = rasterize(m, grid).values
     work = np.empty((6, rhs.size))
     cand, cand_res, lap = work[:3]
@@ -162,8 +146,7 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.n, out=lap))
 
     res_vec = np.empty_like(rhs)
-    residual, quad = _evaluate(grid, g, rhs, u, lap, res_vec)
-    energy = None  # evaluated when an Armijo test first needs it
+    residual = _evaluate(grid, g, rhs, u, lap, res_vec)
     newton_its = inner_total = 0
     for _ in range(NEWTON_MAX):
         if not math.isfinite(residual):  # -Lap_h u - rhs is finite, so g is not
@@ -184,25 +167,17 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             exc.field = ScalarField(grid, u)
             raise
         inner_total += inner
-        slope = -float(res_vec @ e) * hd
         tau = 1.0
-        while True:
+        while tau >= 1e-12:
             np.subtract(u, np.multiply(e, tau, out=cand), out=cand)
-            cand_residual, cand_quad = _evaluate(grid, g, rhs, cand, lap, cand_res)
-            cand_energy = None
-            accepted = tau == 1.0 and cand_residual < residual
-            if not accepted:
-                if energy is None:
-                    energy = _energy(grid, g, rhs, u, quad)
-                cand_energy = _energy(grid, g, rhs, cand, cand_quad)
-                accepted = cand_energy <= energy + 1e-4 * tau * slope
-            tau *= 0.5
-            if accepted or tau < 1e-12:
+            cand_residual = _evaluate(grid, g, rhs, cand, lap, cand_res)
+            if cand_residual < residual:
                 break
-        if not accepted:
-            break  # neither energy nor residual can improve
+            tau *= 0.5
+        else:
+            break  # no step lowers the residual
         np.copyto(u, cand)
-        residual, quad, energy = cand_residual, cand_quad, cand_energy
+        residual = cand_residual
         newton_its += 1
         if residual > accept:  # only a further step reads the residual vector
             np.copyto(res_vec, cand_res)

@@ -186,6 +186,19 @@ def test_solve_rejects_decreasing_table_g(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_solve_crosses_a_steep_table_kink(tmp_path, capsys):
+    # the steep table segment of test_solver.KINKED_TABLE
+    doc = dict(PROBLEM, grid={"dim": 1, "n": 5},
+               g={"kind": "table", "t": [-10.0, 0.0, 0.13, 10.13],
+                  "g": [-0.5, 0.0, 130.0, 131.2]},
+               measure={"atoms": [{"x": [0.86], "w": 6.3}]})
+    path = _write_problem(tmp_path, doc)
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert "converged" in capsys.readouterr().out
+    report = json.loads((tmp_path / "run" / "solve_report.json").read_text())
+    assert report["converged"] is True and report["final_residual"] <= 1e-10
+
+
 def test_solve_cg_stall_exits_one(tmp_path, capsys):
     # the peaked shift of test_semilinear_converges_with_sharply_peaked_shift
     doc = dict(PROBLEM, grid={"dim": 2, "n": 31}, g={"kind": "power", "q": 8},
@@ -356,11 +369,12 @@ def test_experiment_pass_exit_zero(tmp_path, capsys):
 
 
 def test_experiment_failure_exit_one(tmp_path, capsys):
-    # theta = 1 degenerates the midpoint comparison to equality, so the
-    # strict margin assertion must fail and the exit code must say so
+    # theta near 1 shrinks the margin, quadratic in theta - 1, below its
+    # 1e-6 tolerance, so the margin assertion must fail and the exit code
+    # must say so
     cfg = tmp_path / "cfg.json"
     with open(cfg, "w", encoding="utf-8") as fh:
-        json.dump({"n": 9, "theta": 1.0}, fh)
+        json.dump({"n": 9, "theta": 1.001}, fh)
     rc = run_cli(["experiment", "exp_nonconvexity", "--config", str(cfg),
                   "--out", str(tmp_path / "exp")])
     assert rc == 1
@@ -499,6 +513,19 @@ MALFORMED_OVERRIDES = [
     ("exp_dirac_collapse", {"radius_factor": 1.0}, "radius_factor", "radius_factor-below-two"),
     ("exp_mollification_stability", {"radius_start": 0.01}, "radius_start",
      "radius_start-below-2h"),
+    ("exp_mollification_stability", {"box": [0.6, 0.4]}, "box", "box-reversed"),
+    ("exp_mollification_stability", {"box": [-0.1, 0.5]}, "box", "box-below-zero"),
+    ("exp_mollification_stability", {"box": [0.5, 1.5]}, "box", "box-above-one"),
+    ("exp_mollification_stability", {"box": [0.401, 0.402]}, "box", "box-without-node"),
+    ("exp_mollification_stability", {"ud": {"name": "zero"}, "box_amplitude": 0},
+     "box_amplitude", "box_amplitude-zero"),
+    ("exp_nonconvexity", {"theta": 0.0}, "theta", "theta-zero"),
+    ("exp_nonconvexity", {"theta": -2.0}, "theta", "theta-negative"),
+    ("exp_nonconvexity", {"theta": 1.0}, "theta", "theta-one"),
+    ("exp_nonconvexity", {"theta": 0.5}, "theta", "theta-below-one"),
+    ("exp_nonconvexity", {"amplitude": 0.0}, "amplitude", "amplitude-zero"),
+    ("exp_nonconvexity", {"amplitude": -1.0}, "amplitude", "amplitude-negative"),
+    ("exp_nonconvexity", {"p": 1.0, "theta": 1.0}, "theta", "theta-one-at-p-one"),
 ]
 
 
