@@ -22,10 +22,9 @@ from .solver import (ConvergenceError, LevelRecord, ReducedLimitResult,
                      SolveReport, TruncationCheck, lemma_truncation_check,
                      reduced_limit, residual_measure, solve_linear,
                      solve_semilinear, truncate_max, truncate_min)
-from .control import (ControlProblem, CostUnavailableError, OptimResult,
-                      OptimizeConfig, RegularityReport, SweepRow,
-                      adjoint_gradient, alpha_sweep, check_state_regularity,
-                      evaluate_cost, optimize, prox_l1)
+from .control import (ControlProblem, OptimResult, OptimizeConfig,
+                      RegularityReport, SweepRow, adjoint_gradient, alpha_sweep,
+                      check_state_regularity, evaluate_cost, optimize)
 from .experiments import (ExperimentReport, ExperimentSpec, list_experiments,
                           run_experiment)
 
@@ -42,9 +41,9 @@ __all__ = [
     "TruncationCheck", "lemma_truncation_check", "reduced_limit",
     "residual_measure", "solve_linear", "solve_semilinear", "truncate_max",
     "truncate_min",
-    "ControlProblem", "CostUnavailableError", "OptimResult", "OptimizeConfig",
-    "RegularityReport", "SweepRow", "adjoint_gradient", "alpha_sweep",
-    "check_state_regularity", "evaluate_cost", "optimize", "prox_l1",
+    "ControlProblem", "OptimResult", "OptimizeConfig", "RegularityReport",
+    "SweepRow", "adjoint_gradient", "alpha_sweep", "check_state_regularity",
+    "evaluate_cost", "optimize",
     "ExperimentReport", "ExperimentSpec", "list_experiments", "run_experiment",
     "__version__",
 ]

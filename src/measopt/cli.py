@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .checks import real
-from .control import ControlProblem, CostUnavailableError, OptimizeConfig
+from .control import ControlProblem, OptimizeConfig
 from .control import optimize as optimize_problem
 from .experiments import list_experiments, run_experiment, write_csv, write_json
 from .grid import build_grid, load_field, named_field, save_field
@@ -78,7 +78,7 @@ def run_cli(argv=None) -> int:
         if args.command == "optimize":
             return _cmd_optimize(args)
         return _cmd_experiment(args)
-    except (ConvergenceError, CostUnavailableError) as exc:
+    except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -4,9 +4,11 @@ The objective is F(mu) = ||u(mu) - u_d||_{L^p,h} + alpha * tv(mu) over
 measures represented by density fields on the problem grid.
 ``_evaluate`` solves the state of a control once, into the record
 ``Evaluation(m, u, f)`` that the cost, the gradient and the optimizer
-read.  A proximal gradient loop drives F down: the misfit gradient comes
-from one adjoint solve at u, the total-variation term from componentwise
-soft thresholding.  For p = 1 the misfit is Huber-smoothed and for
+read.  A failed state or adjoint solve raises the solver's own
+``ConvergenceError``, its report attached.  A proximal gradient loop
+drives F down: the misfit gradient comes from one adjoint solve at u, the
+total-variation term from componentwise soft thresholding of density
+values at tau * alpha.  For p = 1 the misfit is Huber-smoothed and for
 p = inf log-sum-exp smoothed when differentiating; reported F values
 always use the true norm, through ``ControlProblem.cost``.  Every run
 starts from the zero control, so its result never exceeds F(0).
@@ -39,15 +41,6 @@ MAX_BACKTRACKS = 40
 STEP_GROW = 2.0
 F_RTOL = 1e-9
 STATIONARITY_TOL = 1e-6
-
-
-class CostUnavailableError(RuntimeError):
-    """A state or adjoint solve failed, so F(mu) or its gradient has no
-    finite discrete value."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -117,11 +110,8 @@ class Evaluation:
 
 
 def _evaluate(prob: ControlProblem, m: DiscreteMeasure) -> Evaluation:
-    """Solve the state of m once; a failed solve leaves F(m) without a finite value."""
-    try:
-        u, _ = solve_semilinear(prob.grid, prob.g, m)
-    except ConvergenceError as exc:
-        raise CostUnavailableError(f"cost unavailable: {exc}", report=exc.report) from exc
+    """Solve the state of m once; a failed solve raises its ConvergenceError."""
+    u, _ = solve_semilinear(prob.grid, prob.g, m)
     return Evaluation(m, u, prob.cost(u.values, m))
 
 
@@ -161,14 +151,10 @@ def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray) -> np.n
 
 
 def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:
-    """The adjoint state; a failed solve leaves the gradient without a value."""
+    """The adjoint state; a failed solve raises its ConvergenceError."""
     rhs = _misfit_gradient_density(prob, u_values)
     dg = np.maximum(np.asarray(prob.g.derivative(u_values)), 0.0)
-    try:
-        phi, _, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=DEFAULT_TOL * 1e-2)
-    except ConvergenceError as exc:
-        raise CostUnavailableError(f"gradient unavailable: {exc}",
-                                   report=exc.report) from exc
+    phi, _, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=DEFAULT_TOL * 1e-2)
     return phi
 
 
@@ -181,18 +167,6 @@ def adjoint_gradient(prob: ControlProblem, m: DiscreteMeasure) -> ScalarField:
     recovered as <phi, direction>_h.
     """
     return ScalarField(prob.grid, _adjoint_from_state(prob, _evaluate(prob, m).u.values))
-
-
-def prox_l1(v: ScalarField, threshold: float) -> ScalarField:
-    """Soft-threshold a density field: sign(v) * max(|v| - threshold/h^dim, 0).
-
-    The division by the cell volume converts a penalty on measure mass
-    into the matching cut on density values, so thresholding with
-    tau * alpha * h^dim realizes the alpha * tv penalty.
-    """
-    if not threshold >= 0.0:  # NaN fails here too
-        raise ValueError(f"invalid config: threshold must be >= 0, got {threshold}")
-    return ScalarField(v.grid, _soft_threshold(v.values, threshold / v.grid.cell_volume))
 
 
 def _soft_threshold(values: np.ndarray, level: float) -> np.ndarray:
@@ -228,11 +202,11 @@ def optimize(prob: ControlProblem, config: OptimizeConfig | None = None) -> Opti
     last_rel = math.inf
     for it in range(1, cfg.max_iter + 1):
         for _ in range(MAX_BACKTRACKS):
-            level = tau * prob.alpha * grid.cell_volume / grid.cell_volume  # as prox_l1 rounds
-            c_try = _owned_field(grid, _soft_threshold(cur.m.density.values - tau * phi, level))
+            c_try = _owned_field(grid, _soft_threshold(cur.m.density.values - tau * phi,
+                                                       tau * prob.alpha))
             try:
                 trial = _evaluate(prob, DiscreteMeasure.from_density(c_try))
-            except CostUnavailableError:
+            except ConvergenceError:
                 trial = None  # a failed state solve rejects the trial
             if trial is not None and trial.f < cur.f:
                 break

@@ -221,10 +221,17 @@ def exp_dirac_collapse(spec: ExperimentSpec) -> ExperimentReport:
         raise ValueError(f"invalid config: q must be >= 3, got {q}")
     p_values = [real(p, "p_values") for p in _entries(par["p_values"], "p_values")]
     if any(not 1.0 <= p <= q for p in p_values):
-        raise ValueError("invalid config: misfit exponents must lie in [1, q]")
+        raise ValueError(f"invalid config: p_values must be in [1, q = {q}], got {p_values}")
     alpha = real(par["alpha"], "alpha", positive=True)
-    grids = [build_grid(3, count(n, "levels")) for n in _entries(par["levels"], "levels")]
+    levels = [count(n, "levels") for n in _entries(par["levels"], "levels")]
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"invalid config: levels must be 2 or more strictly increasing "
+                         f"sizes, got {levels}")
+    grids = [build_grid(3, n) for n in levels]
     center = [real(c, "center") for c in _entries(par["center"], "center", 3)]
+    if not all(0.0 < c < 1.0 for c in center):
+        raise ValueError(f"invalid config: center must be inside the open unit box, "
+                         f"got {center}")
     delta = DiscreteMeasure.point(center, 1.0)
     radius_factor = real(par["radius_factor"], "radius_factor")
     if not radius_factor >= 2.0:  # mollify resolves a radius of 2h or more
@@ -412,47 +419,30 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     trunc_grid = build_grid(par["dim"], count(par["truncate_n"], "truncate_n"))
     dim = lemma_grid.dim
 
-    lemma_inputs = []
+    lemma_slacks = []
     for _ in range(instances):
-        lemma_inputs.append((
-            rng.normal(size=lemma_grid.total_interior),
-            rng.normal(size=lemma_grid.total_interior),
-            rng.normal(size=lemma_grid.total_interior),
-            rng.uniform(0.0, 1.0, size=lemma_grid.total_interior)))
+        u1, a1, u2 = (rng.normal(size=lemma_grid.total_interior) for _ in range(3))
+        u2f = ScalarField(lemma_grid, u2)
+        a2 = (np.maximum(-neg_laplacian_apply(u2f).values, 0.0)
+              + rng.uniform(0.0, 1.0, size=lemma_grid.total_interior))
+        lemma_slacks.append(lemma_truncation_check(
+            ScalarField(lemma_grid, u1), u2f,
+            ScalarField(lemma_grid, a1), ScalarField(lemma_grid, a2)).slack)
 
     gs = [Nonlinearity.power(1.5), Nonlinearity.power(2.0),
           Nonlinearity.power(3.0), Nonlinearity.linear(0.7)]
-    trunc_inputs = []
+    trunc_slacks = []
     for i in range(instances):
-        trunc_inputs.append((
-            gs[i % len(gs)],
-            rng.normal(size=trunc_grid.total_interior),
-            tuple((tuple(rng.uniform(0.1, 0.9, size=dim)), rng.uniform(-1.0, 1.0))
-                  for _ in range(2)),
-            rng.uniform(0.0, 2.0, size=trunc_grid.total_interior)))
-
-    def lemma_case(args):
-        u1, a1, u2, bump = args
-        u2f = ScalarField(lemma_grid, u2)
-        a2 = np.maximum(-neg_laplacian_apply(u2f).values, 0.0) + bump
-        chk = lemma_truncation_check(
-            ScalarField(lemma_grid, u1), u2f,
-            ScalarField(lemma_grid, a1), ScalarField(lemma_grid, a2))
-        return chk.slack
-
-    def trunc_case(args):
-        g, dens, atoms, wdens = args
-        m = DiscreteMeasure(dim, atoms=atoms,
-                            density=ScalarField(trunc_grid, dens))
-        u, _ = solve_semilinear(trunc_grid, g, m, tol=1e-10)
-        w, _ = solve_linear(trunc_grid,
-                            DiscreteMeasure.from_density(ScalarField(trunc_grid, wdens)),
-                            tol=1e-12)
+        g = gs[i % len(gs)]
+        dens = ScalarField(trunc_grid, rng.normal(size=trunc_grid.total_interior))
+        atoms = tuple((tuple(rng.uniform(0.1, 0.9, size=dim)), rng.uniform(-1.0, 1.0))
+                      for _ in range(2))
+        wdens = ScalarField(trunc_grid, rng.uniform(0.0, 2.0, size=trunc_grid.total_interior))
+        u, _ = solve_semilinear(trunc_grid, g, DiscreteMeasure(dim, atoms=atoms, density=dens),
+                                tol=1e-10)
+        w, _ = solve_linear(trunc_grid, DiscreteMeasure.from_density(wdens), tol=1e-12)
         _, nu = truncate_min(u, w, g)
-        return tv_norm(residual_measure(trunc_grid, g, u)) - tv_norm(nu)
-
-    lemma_slacks = [lemma_case(args) for args in lemma_inputs]
-    trunc_slacks = [trunc_case(args) for args in trunc_inputs]
+        trunc_slacks.append(tv_norm(residual_measure(trunc_grid, g, u)) - tv_norm(nu))
 
     rows = [[i, "paired-inequality", s] for i, s in enumerate(lemma_slacks)]
     rows += [[i, "tv-comparison", s] for i, s in enumerate(trunc_slacks)]
@@ -514,28 +504,20 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
     cfg = OptimizeConfig(max_iter=par["max_iter"])
     rng = np.random.default_rng(spec.seed)
 
-    targets = []
-    for i in range(instances):
-        vals = _random_sines(grid, rng, rng.uniform(0.2, 1.0))
-        if i % 2 == 0:
-            vals = np.abs(vals)
-        targets.append(vals)
-
     def pointwise_slack(misfit: float, s: float) -> float:
         base = max(misfit, s)
         return s + (p * base ** (p - 1.0) * s / grid.cell_volume) ** (1.0 / p)
 
-    def case(vals):
+    rows = []
+    trunc_ok, sup_ok, sign_ok = [], [], []
+    for i in range(instances):
+        vals = _random_sines(grid, rng, rng.uniform(0.2, 1.0))
+        if i % 2 == 0:
+            vals = np.abs(vals)
         prob = ControlProblem(grid, g, ScalarField(grid, vals), p, alpha)
         res = optimize(prob, cfg)
         rep = check_state_regularity(prob, res)
-        return res, rep, pointwise_slack(prob.misfit(res.u_star.values), rep.slack)
-
-    results = [case(vals) for vals in targets]
-
-    rows = []
-    trunc_ok, sup_ok, sign_ok = [], [], []
-    for i, (res, rep, beta) in enumerate(results):
+        beta = pointwise_slack(prob.misfit(res.u_star.values), rep.slack)
         sup_margin = rep.max_abs_state - rep.ud_inf
         rows.append([i, rep.ud_inf, rep.ud_nonnegative, res.f_zero,
                      rep.f_original, rep.f_truncated, rep.slack, beta,

@@ -86,10 +86,6 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, work=None):
     return x, iters, res_l1
 
 
-def _neg_lap(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
-    return kernels.neg_laplacian(values, grid.dim, grid.n, out=out)
-
-
 def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     """Solve -Lap_h u = m on the grid: the state solve with g = 0.
 
@@ -106,7 +102,7 @@ def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, lap, 
 
     lap is scratch.
     """
-    _neg_lap(grid, u, out=lap)
+    kernels.neg_laplacian(u, grid.dim, grid.n, out=lap)
     np.subtract(np.add(lap, np.asarray(g(u)), out=res), rhs, out=res)
     return float(np.abs(res, out=lap).sum()) * grid.cell_volume
 
@@ -209,11 +205,11 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     lo, hi = lower.values, upper.values
     if np.any(lo > hi + 1e-12):
         raise ValueError("invalid bracket: lower exceeds upper somewhere")
-    res_lo = _neg_lap(grid, lo) + np.asarray(g(lo)) - rhs
+    res_lo = kernels.neg_laplacian(lo, grid.dim, grid.n) + np.asarray(g(lo)) - rhs
     if np.any(res_lo > ADMISSIBILITY_TOL):
         raise ValueError("invalid bracket: lower bound is not a subsolution")
     gu = np.asarray(g(hi))
-    res_hi = _neg_lap(grid, hi) + gu - rhs
+    res_hi = kernels.neg_laplacian(hi, grid.dim, grid.n) + gu - rhs
     if np.any(res_hi < -ADMISSIBILITY_TOL):
         raise ValueError("invalid bracket: upper bound is not a supersolution")
     lam = g.max_derivative(float(lo.min()), float(hi.max()))
@@ -232,7 +228,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
                                    field=ScalarField(grid, nxt))
         u = nxt
         gu = np.asarray(g(u))
-        residual = _lp(_neg_lap(grid, u) + gu - rhs, 1.0, grid)
+        residual = _lp(kernels.neg_laplacian(u, grid.dim, grid.n) + gu - rhs, 1.0, grid)
         accept = max(tol, kernels.rounding_floor(rhs, u, gu, grid.dim, grid.n, out=tmp))
         if residual <= accept:
             break
@@ -245,7 +241,7 @@ def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
 
 def residual_measure(grid: Grid, g: Nonlinearity, u: ScalarField) -> DiscreteMeasure:
     """The measure datum -Lap_h u + g(u) that u solves exactly."""
-    vals = _neg_lap(grid, u.values) + np.asarray(g(u.values))
+    vals = kernels.neg_laplacian(u.values, grid.dim, grid.n) + np.asarray(g(u.values))
     return DiscreteMeasure.from_density(ScalarField(grid, vals))
 
 
@@ -265,7 +261,7 @@ def truncate_min(u: ScalarField, w: ScalarField, g: Nonlinearity):
         raise ValueError("invalid supersolution: grids differ")
     if np.any(w.values < -1e-12):
         raise ValueError("invalid supersolution: w must be nonnegative")
-    res_w = _neg_lap(grid, w.values) + np.asarray(g(w.values))
+    res_w = kernels.neg_laplacian(w.values, grid.dim, grid.n) + np.asarray(g(w.values))
     if np.any(res_w < -ADMISSIBILITY_TOL):
         raise ValueError("invalid supersolution: -Lap w + g(w) must be >= 0")
     z = ScalarField(grid, np.minimum(u.values, w.values))
@@ -304,15 +300,15 @@ def lemma_truncation_check(u1: ScalarField, u2: ScalarField,
     grid = u1.grid
     if not (grid == u2.grid == a1.grid == a2.grid):
         raise ValueError("invalid input: all fields must share one grid")
-    super_res = _neg_lap(grid, u2.values) + a2.values
+    super_res = kernels.neg_laplacian(u2.values, grid.dim, grid.n) + a2.values
     if np.any(super_res < -ADMISSIBILITY_TOL):
         raise ValueError("invalid supersolution: -Lap u2 + a2 must be >= 0")
     hd = grid.cell_volume
     excess = u1.values > u2.values
     z = np.minimum(u1.values, u2.values)
     a = np.where(excess, a2.values, a1.values)
-    lhs = float(np.abs(_neg_lap(grid, z) + a).sum()) * hd
-    rhs = (float(np.abs(_neg_lap(grid, u1.values) + a1.values).sum()) * hd
+    lhs = float(np.abs(kernels.neg_laplacian(z, grid.dim, grid.n) + a).sum()) * hd
+    rhs = (float(np.abs(kernels.neg_laplacian(u1.values, grid.dim, grid.n) + a1.values).sum()) * hd
            + float((a2.values[excess] - a1.values[excess]).sum()) * hd)
     return TruncationCheck(lhs, rhs, rhs - lhs, int(excess.sum()))
 

@@ -36,6 +36,11 @@ def _write_problem(tmp_path, doc, name="problem.json"):
     return path
 
 
+def test_every_exported_name_resolves_on_the_package():
+    # a name dropped from the package but left in __all__ breaks `from measopt import *`
+    assert [name for name in measopt.__all__ if not hasattr(measopt, name)] == []
+
+
 def test_list_prints_registry(capsys):
     assert run_cli(["list"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -352,7 +357,7 @@ def test_optimize_unavailable_cost_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(measopt.control, "solve_semilinear", failing_solve)
     path = _write_problem(tmp_path, PROBLEM)
     assert run_cli(["optimize", str(path), "--out", str(tmp_path / "opt")]) == 1
-    assert "cost unavailable" in capsys.readouterr().err
+    assert "solver failure: no convergence" in capsys.readouterr().err
 
 
 def test_experiment_pass_exit_zero(tmp_path, capsys):
@@ -526,6 +531,13 @@ MALFORMED_OVERRIDES = [
     ("exp_nonconvexity", {"amplitude": 0.0}, "amplitude", "amplitude-zero"),
     ("exp_nonconvexity", {"amplitude": -1.0}, "amplitude", "amplitude-negative"),
     ("exp_nonconvexity", {"p": 1.0, "theta": 1.0}, "theta", "theta-one-at-p-one"),
+    ("exp_dirac_collapse", {"levels": [15]}, "levels", "levels-one-entry"),
+    ("exp_dirac_collapse", {"levels": [15, 15]}, "levels", "levels-repeated"),
+    ("exp_dirac_collapse", {"levels": [31, 15]}, "levels", "levels-decreasing"),
+    ("exp_dirac_collapse", {"center": [1.5, 0.5, 0.5]}, "center", "center-outside-box"),
+    ("exp_dirac_collapse", {"center": [0.0, 0.5, 0.5]}, "center", "center-on-boundary"),
+    ("exp_dirac_collapse", {"p_values": [2.0, 4.0]}, "p_values", "p_values-above-q"),
+    ("exp_dirac_collapse", {"p_values": [0.5]}, "p_values", "p_values-below-one"),
 ]
 
 

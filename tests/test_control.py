@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import measopt.control
-from measopt import (ControlProblem, CostUnavailableError, DiscreteMeasure,
-                     Nonlinearity, OptimizeConfig, ScalarField,
-                     adjoint_gradient, alpha_sweep, build_grid,
-                     check_state_regularity, constant_field, evaluate_cost,
-                     lp_norm, named_field, optimize, prox_l1,
+from measopt import (ControlProblem, DiscreteMeasure, Nonlinearity,
+                     OptimizeConfig, ScalarField, adjoint_gradient, alpha_sweep,
+                     build_grid, check_state_regularity, constant_field,
+                     evaluate_cost, lp_norm, named_field, optimize,
                      solve_linear, solve_semilinear, tv_norm, zeros_field)
 from measopt.control import F_RTOL, OptimResult, stability_run
 from measopt.solver import residual_measure
@@ -64,22 +63,24 @@ def test_evaluate_cost_planted_solution():
         0.25 * tv_norm(m), rel=1e-9)
 
 
-def test_evaluate_cost_wraps_solver_failure(monkeypatch):
+def test_solver_failure_reaches_every_caller_unchanged(monkeypatch):
     import measopt.control as control
     from measopt.solver import ConvergenceError
 
     report = object()
+    raised = []
 
     def boom(*args, **kwargs):
-        raise ConvergenceError("no convergence: forced", report=report)
+        raised.append(ConvergenceError("no convergence: forced", report=report))
+        raise raised[-1]
 
     grid = build_grid(2, 5)
 
-    def assert_wrapped(call):
-        with pytest.raises(CostUnavailableError) as err:
+    def assert_passed_through(call):
+        with pytest.raises(ConvergenceError) as err:
             call()
+        assert err.value is raised[-1]
         assert err.value.report is report
-        assert isinstance(err.value.__cause__, ConvergenceError)
 
     # the state solve fails
     with monkeypatch.context() as patch:
@@ -87,13 +88,13 @@ def test_evaluate_cost_wraps_solver_failure(monkeypatch):
         for call in (lambda: evaluate_cost(_problem(grid), DiscreteMeasure.zero(2)),
                      lambda: adjoint_gradient(_problem(grid), DiscreteMeasure.zero(2)),
                      lambda: optimize(_problem(grid))):
-            assert_wrapped(call)
+            assert_passed_through(call)
     # the state solve succeeds and the adjoint solve fails
     with monkeypatch.context() as patch:
         patch.setattr(control, "_solve_shifted", boom)
         for call in (lambda: adjoint_gradient(_problem(grid), DiscreteMeasure.zero(2)),
                      lambda: optimize(_problem(grid))):
-            assert_wrapped(call)
+            assert_passed_through(call)
 
 
 def test_optimize_backtracks_past_failed_trial_solve(monkeypatch):
@@ -202,38 +203,25 @@ def test_huber_width_of_an_unbounded_l1_target_holds_under_refinement():
 # proximal map
 # ---------------------------------------------------------------------------
 
-def test_prox_l1_identity_and_full_shrinkage():
-    grid = build_grid(2, 3)
+def test_soft_threshold_identity_and_full_shrinkage():
     rng = np.random.default_rng(13)
-    v = ScalarField(grid, rng.standard_normal(9))
-    np.testing.assert_array_equal(prox_l1(v, 0.0).values, v.values)
-    huge = 10.0 * grid.cell_volume
-    np.testing.assert_array_equal(prox_l1(v, huge).values, 0.0)
+    v = rng.standard_normal(9)
+    np.testing.assert_array_equal(measopt.control._soft_threshold(v, 0.0), v)
+    np.testing.assert_array_equal(measopt.control._soft_threshold(v, 10.0), 0.0)
 
 
-def test_prox_l1_scaled_threshold_example():
-    # h = 1/3 in 1-d, so a raw threshold of 2/3 cuts density values by 2
-    grid = build_grid(1, 2)
-    v = ScalarField(grid, np.array([3.0, -1.0]))
-    out = prox_l1(v, 2.0 * grid.cell_volume)
-    np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        prox_l1(v, -0.1)
+def test_soft_threshold_example():
+    # density values cut by the level itself
+    out = measopt.control._soft_threshold(np.array([3.0, -1.0]), 2.0)
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
 
-def test_prox_l1_rejects_a_nan_threshold_at_its_own_check():
-    v = ScalarField(build_grid(1, 4), np.ones(4))
-    with pytest.raises(ValueError, match="threshold must be >= 0"):
-        prox_l1(v, math.nan)
-
-
-def test_prox_l1_is_shrinkage():
-    grid = build_grid(2, 5)
+def test_soft_threshold_is_shrinkage():
     rng = np.random.default_rng(17)
-    v = ScalarField(grid, rng.standard_normal(grid.total_interior))
-    out = prox_l1(v, 0.3 * grid.cell_volume)
-    assert np.all(np.abs(out.values) <= np.abs(v.values))
-    assert np.all(out.values * v.values >= 0.0)
+    v = rng.standard_normal(25)
+    out = measopt.control._soft_threshold(v, 0.3)
+    assert np.all(np.abs(out) <= np.abs(v))
+    assert np.all(out * v >= 0.0)
 
 
 # ---------------------------------------------------------------------------
