@@ -1,8 +1,13 @@
-"""The number rules of problem files, experiment parameters and configs.
+"""The number rules of problem files, experiment parameters and the Python API.
 
 A real is a JSON number: bools, strings and NaN are rejected, never
-converted.  A count is a positive integer, and a float, bool or string
-is rejected even when it would round to one.  Every error names its key.
+converted.  A count is an integer, at least 1 unless the caller lowers
+the bound; a float, bool or string is rejected even when it would round
+to one.  An array holds finite reals.  Every error names its key.  The
+rules serve ``Grid``, ``ScalarField``, ``constant_field``, ``lp_norm``,
+``Nonlinearity.power``, ``linear`` and ``table``, ``DiscreteMeasure``
+(so ``point`` and ``from_atoms``), ``scale``, ``mollify``,
+``ControlProblem``, ``OptimizeConfig`` and ``run_experiment``'s seed.
 """
 from __future__ import annotations
 
@@ -28,8 +33,20 @@ def real(value, key: str, positive: bool = False, allow_inf: bool = False) -> fl
     return float(value)
 
 
-def count(value, key: str) -> int:
-    """value as a positive int, else a ValueError naming key."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"invalid config: {key} must be a positive integer, got {value!r}")
+def count(value, key: str, least: int = 1) -> int:
+    """value as an int >= least, else a ValueError naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"invalid config: {key} must be {kind}, got {value!r}")
     return int(value)
+
+
+def array(values, key: str) -> np.ndarray:
+    """values as a float64 array, else a ValueError naming key; a list's entries pass ``real``."""
+    if not isinstance(values, np.ndarray):
+        entries = np.asarray(values, dtype=object)
+        values = np.array([real(v, key) for v in entries.flat]).reshape(entries.shape)
+    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        what = "a non-finite entry" if values.dtype.kind in "iuf" else f"{values.dtype} entries"
+        raise ValueError(f"invalid config: {key} must be an array of finite reals, got {what}")
+    return np.asarray(values, dtype=np.float64)

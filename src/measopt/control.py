@@ -29,10 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import count, real
 from .grid import Grid, ScalarField, _lp, _owned_field, constant_field, lp_norm, zeros_field
 from .measures import DiscreteMeasure, tv_norm
 from .nonlinearity import Nonlinearity
-from .solver import (DEFAULT_TOL, ConvergenceError, _solve_shifted,
+from .solver import (DEFAULT_TOL, ConvergenceError, _shift, _solve_shifted,
                      solve_semilinear, truncate_max, truncate_min)
 
 STEP0 = 1.0
@@ -54,10 +55,11 @@ class ControlProblem:
     def __post_init__(self):
         if self.u_d.grid != self.grid:
             raise ValueError("invalid config: target field lives on a different grid")
-        if self.p != math.inf and not self.p >= 1.0:
-            raise ValueError(f"invalid exponent: p must be >= 1 or inf, got {self.p!r}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"invalid config: alpha must be finite and > 0, got {self.alpha!r}")
+        p = real(self.p, "p", allow_inf=True)
+        if not p >= 1.0:
+            raise ValueError(f"invalid exponent: p must be >= 1 or inf, got {p!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "alpha", real(self.alpha, "alpha", positive=True))
 
     def misfit(self, u_values: np.ndarray) -> float:
         """||u - u_d||_{L^p,h} of the state with node values u_values."""
@@ -95,11 +97,7 @@ class OptimizeConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"invalid config: max_iter must be an integer, "
-                             f"got {self.max_iter!r}")
-        if self.max_iter < 0:
-            raise ValueError(f"invalid config: max_iter must be >= 0, got {self.max_iter!r}")
+        self.max_iter = count(self.max_iter, "max_iter", least=0)
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,8 @@ def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray) -> np.n
 def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:
     """The adjoint state; a failed solve raises its ConvergenceError."""
     rhs = _misfit_gradient_density(prob, u_values)
-    dg = np.maximum(np.asarray(prob.g.derivative(u_values)), 0.0)
-    phi, _, _ = _solve_shifted(prob.grid, dg, rhs, atol_l1=DEFAULT_TOL * 1e-2)
+    phi, _, _ = _solve_shifted(prob.grid, _shift(prob.g, u_values), rhs,
+                               atol_l1=DEFAULT_TOL * 1e-2)
     return phi
 
 
@@ -298,7 +296,7 @@ def alpha_sweep(prob: ControlProblem, alphas,
     """
     if prob.p == math.inf:
         raise ValueError("invalid exponent: alpha sweep needs p < inf")
-    problems = [replace(prob, alpha=float(a)) for a in alphas]
+    problems = [replace(prob, alpha=a) for a in alphas]
     cfg = config or OptimizeConfig()
     rows = []
     for level in problems:

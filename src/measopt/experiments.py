@@ -71,6 +71,7 @@ def list_experiments() -> list:
 def run_experiment(name: str, parameters: dict | None = None,
                    output_dir="measopt_out", seed: int = 0) -> ExperimentReport:
     """Run a registered experiment; ``parameters`` may override only its defaults."""
+    seed = count(seed, "seed", least=0)
     if name not in _REGISTRY:
         raise ValueError(f"unknown experiment {name!r}; known: {', '.join(_REGISTRY)}")
     fn, defaults = _REGISTRY[name]
@@ -80,7 +81,7 @@ def run_experiment(name: str, parameters: dict | None = None,
         raise ValueError(f"invalid config: unknown parameter(s) for {name}: {unknown}")
     params = {**defaults, **parameters}
     return fn(ExperimentSpec(name=name, parameters=params,
-                             output_dir=Path(output_dir) / name, seed=int(seed)))
+                             output_dir=Path(output_dir) / name, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +613,7 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     dens = np.where(inside, amplitude, 0.0)
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))
     [u_d] = _targets(par["ud"], [grid])
-    prob = ControlProblem(grid, g, u_d, p, real(par["alpha"], "alpha"))
+    prob = ControlProblem(grid, g, u_d, p, par["alpha"])
 
     radius_start = real(par["radius_start"], "radius_start")
     if not radius_start >= 2.0 * grid.h:  # mollify resolves a radius of 2h or more
@@ -623,7 +624,7 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     rows = []
     f_values = []
     for r in radii:
-        m_r = DiscreteMeasure.from_density(mollify(mu, float(r), grid))
+        m_r = DiscreteMeasure.from_density(mollify(mu, r, grid))
         f_r = evaluate_cost(prob, m_r)
         f_values.append(f_r)
         rows.append([float(r), f_r, f_target, abs(f_r - f_target) / f_target])

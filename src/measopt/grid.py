@@ -17,13 +17,21 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .checks import count, real
+from .checks import array, count, real
 
 
 @dataclass(frozen=True)
 class Grid:
+    """dim must be 1, 2 or 3 and n >= 1, both integers (not bool)."""
     dim: int
     n: int
+
+    def __post_init__(self):
+        dim = count(self.dim, "dim")
+        if dim > 3:
+            raise ValueError(f"invalid grid config: dim must be in {{1,2,3}}, got {dim!r}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "n", count(self.n, "n"))
 
     @property
     def h(self) -> float:
@@ -68,12 +76,7 @@ class Grid:
 
 
 def build_grid(dim: int, n: int) -> Grid:
-    """Build a Grid; dim must be 1, 2 or 3 and n >= 1, both integers (not bool)."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2, 3):
-        raise ValueError(f"invalid grid config: dim must be in {{1,2,3}}, got {dim!r}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"invalid grid config: n must be a positive integer, got {n!r}")
-    return Grid(int(dim), int(n))
+    return Grid(dim, n)
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,13 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
+        if not isinstance(self.grid, Grid):
+            raise ValueError(f"invalid field: grid must be a Grid, got {self.grid!r}")
+        vals = np.ascontiguousarray(array(self.values, "values")).reshape(-1)
         if vals.size != self.grid.total_interior:
             raise ValueError(
                 f"field length {vals.size} does not match grid "
                 f"({self.grid.total_interior} interior nodes)")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -113,7 +116,7 @@ def zeros_field(grid: Grid) -> ScalarField:
 
 
 def constant_field(grid: Grid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.total_interior, float(value)))
+    return ScalarField(grid, np.full(grid.total_interior, real(value, "value")))
 
 
 def lp_norm(f: ScalarField, p) -> float:
@@ -122,12 +125,14 @@ def lp_norm(f: ScalarField, p) -> float:
     ``(sum |f_i|^p h^dim)^(1/p)`` for finite p >= 1, ``max |f_i|`` for
     p = inf.  Exponents below 1 are rejected.
     """
+    p = real(p, "p", allow_inf=True)
+    if not p >= 1.0:
+        raise ValueError(f"invalid exponent: p must satisfy p >= 1 or be inf, got {p!r}")
     return _lp(f.values, p, f.grid)
 
 
-def _lp(values: np.ndarray, p, grid: Grid) -> float:
-    if p != math.inf and not p >= 1.0:
-        raise ValueError(f"invalid exponent: p must satisfy p >= 1 or be inf, got {p!r}")
+def _lp(values: np.ndarray, p: float, grid: Grid) -> float:
+    """lp_norm of node values for an exponent p that is already checked."""
     a = np.abs(values)
     if p == math.inf:
         return float(a.max()) if a.size else 0.0
@@ -224,16 +229,16 @@ def named_field(grid: Grid, name: str, params: dict | None = None) -> ScalarFiel
     if name == "zero":
         return zeros_field(grid)
     if name == "constant":
-        return constant_field(grid, real(params.get("value", 1.0), "value"))
+        return constant_field(grid, params.get("value", 1.0))
     coords = grid.node_coords()
     amp = real(params.get("amplitude", 1.0), "amplitude")
     if name == "sines":
         waves = count(params.get("waves", 1), "waves")
         return ScalarField(grid, amp * np.prod(np.sin(math.pi * waves * coords), axis=1))
-    center = params.get("center", (0.5,) * grid.dim)
-    if not isinstance(center, (list, tuple, np.ndarray)) or len(center) != grid.dim:
-        raise ValueError(f"invalid config: center must list {grid.dim} reals, got {center!r}")
-    center = [real(c, "center") for c in center]
+    center = array(params.get("center", (0.5,) * grid.dim), "center")
+    if center.shape != (grid.dim,):
+        raise ValueError(f"invalid config: center must list {grid.dim} reals, "
+                         f"got {params['center']!r}")
     width = real(params.get("width", 0.25), "width", positive=True)
-    d2 = ((coords - np.asarray(center)) ** 2).sum(axis=1)
+    d2 = ((coords - center) ** 2).sum(axis=1)
     return ScalarField(grid, amp * np.exp(-d2 / width ** 2))

@@ -16,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import count, real
 from .grid import Grid, ScalarField, _lp
 
 
 def _validate_location(x, dim: int) -> tuple:
-    loc = tuple(float(c) for c in x)
-    if len(loc) != dim:
-        raise ValueError(f"invalid measure: atom location {loc} is not {dim}-dimensional")
-    if not all(0.0 < c < 1.0 for c in loc):
-        raise ValueError(f"invalid measure: atom location {loc} outside the open unit box")
-    return loc
+    if isinstance(x, (list, tuple, np.ndarray)) and len(x) == dim:
+        loc = tuple(real(c, "x") for c in x)
+        if all(0.0 < c < 1.0 for c in loc):
+            return loc
+    raise ValueError(f"invalid measure: x must be a list of {dim} reals inside the open "
+                     f"unit box, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -35,18 +36,20 @@ class DiscreteMeasure:
     density: ScalarField | None = None
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"invalid measure: dim must be in {{1,2,3}}, got {self.dim!r}")
+        dim = count(self.dim, "dim")
+        if dim > 3:
+            raise ValueError(f"invalid measure: dim must be in {{1,2,3}}, got {dim!r}")
+        object.__setattr__(self, "dim", dim)
         merged: dict = {}
         for loc, w in self.atoms:
-            loc = _validate_location(loc, self.dim)
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError("invalid measure: atom weight must be finite")
-            merged[loc] = merged.get(loc, 0.0) + w
+            loc = _validate_location(loc, dim)
+            merged[loc] = merged.get(loc, 0.0) + real(w, "w")
         atoms = tuple((loc, w) for loc, w in merged.items() if w != 0.0)
         object.__setattr__(self, "atoms", atoms)
-        if self.density is not None and self.density.grid.dim != self.dim:
+        if self.density is not None and not isinstance(self.density, ScalarField):
+            raise ValueError(f"invalid measure: density must be a ScalarField, "
+                             f"got {type(self.density).__name__}")
+        if self.density is not None and self.density.grid.dim != dim:
             raise ValueError("invalid measure: density grid dimension mismatch")
 
     @classmethod
@@ -81,6 +84,7 @@ def tv_norm(m: DiscreteMeasure) -> float:
 
 
 def scale(m: DiscreteMeasure, c: float) -> DiscreteMeasure:
+    c = real(c, "c")
     density = None
     if m.density is not None:
         density = ScalarField(m.density.grid, c * m.density.values)
@@ -145,6 +149,7 @@ def mollify(m: DiscreteMeasure, radius: float, grid: Grid) -> ScalarField:
         raise ValueError("invalid measure: density lives on a different grid")
     h = grid.h
     n = grid.n
+    radius = real(radius, "radius")
     if radius < 2.0 * h:
         raise ValueError(
             f"under-resolved kernel: radius {radius} below 2h = {2.0 * h}")

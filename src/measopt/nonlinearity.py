@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .checks import real
+from .checks import array, real
 
 class Nonlinearity:
     def __init__(self, fns: dict, label: str):
@@ -45,8 +45,8 @@ class Nonlinearity:
     @classmethod
     def power(cls, q: float) -> "Nonlinearity":
         """g(t) = |t|^(q-1) t, q >= 1."""
-        q = float(q)
-        if not 1.0 <= q < math.inf:
+        q = real(q, "q")
+        if not q >= 1.0:
             raise ValueError(f"invalid nonlinearity: power exponent must be a finite real >= 1, "
                              f"got {q}")
 
@@ -68,8 +68,8 @@ class Nonlinearity:
     @classmethod
     def linear(cls, lam: float) -> "Nonlinearity":
         """g(t) = lam * t with lam >= 0; lam = 0 turns absorption off."""
-        lam = float(lam)
-        if not 0.0 <= lam < math.inf:
+        lam = real(lam, "lam")
+        if not lam >= 0.0:
             raise ValueError(f"invalid nonlinearity: linear slope must be a finite real >= 0, "
                              f"got {lam}")
         return cls({"g": lambda t: lam * t,
@@ -90,12 +90,9 @@ class Nonlinearity:
         the range must bracket 0, and the interpolated g(0) must vanish.
         Outside the table the end segments extend linearly.
         """
-        ts = np.asarray(ts, dtype=np.float64)
-        gs = np.asarray(gs, dtype=np.float64)
+        ts, gs = array(ts, "t"), array(gs, "g")
         if ts.ndim != 1 or ts.shape != gs.shape or ts.size < 2:
             raise ValueError("invalid nonlinearity: table needs matching 1-d arrays, length >= 2")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(gs))):
-            raise ValueError("invalid nonlinearity: table breakpoints and values must be finite")
         if np.any(np.diff(ts) <= 0.0):
             raise ValueError("invalid nonlinearity: table breakpoints must be strictly increasing")
         if np.any(np.diff(gs) < 0.0):
@@ -186,14 +183,12 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         raise ValueError(f"invalid config: unknown key(s) for nonlinearity kind "
                          f"{kind!r}: {unknown}")
     if kind == "power":
-        return Nonlinearity.power(real(cfg.get("q", 2.0), "q"))
+        return Nonlinearity.power(cfg.get("q", 2.0))
     if kind == "linear":
-        return Nonlinearity.linear(real(cfg.get("lam", 0.0), "lam"))
+        return Nonlinearity.linear(cfg.get("lam", 0.0))
     if kind == "zero":
         return Nonlinearity.zero()
-    lists = []
     for key in ("t", "g"):
         if not isinstance(values := cfg.get(key), list):
             raise ValueError(f"invalid config: {key} must be a list of reals, got {values!r}")
-        lists.append([real(v, key) for v in values])
-    return Nonlinearity.table(*lists)
+    return Nonlinearity.table(cfg["t"], cfg["g"])

@@ -86,6 +86,14 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, work=None):
     return x, iters, res_l1
 
 
+def _shift(g: Nonlinearity, u: np.ndarray) -> np.ndarray:
+    """g'(u) clamped at 0, the shift of the linearized operator; g' < -1e-12 is a ValueError."""
+    dg = np.asarray(g.derivative(u))
+    if dg.min() < -1e-12:
+        raise ValueError("invalid nonlinearity: negative derivative detected during solve")
+    return np.maximum(dg, 0.0, out=dg)
+
+
 def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
     """Solve -Lap_h u = m on the grid: the state solve with g = 0.
 
@@ -153,12 +161,9 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
                                    field=ScalarField(grid, u))
         if residual <= accept:
             break
-        dg = np.asarray(g.derivative(u))
-        if dg.min() < -1e-12:
-            raise ValueError("invalid nonlinearity: negative derivative detected during solve")
-        np.maximum(dg, 0.0, out=dg)
         try:  # CG is odd in its right-hand side, so e = A^-1 res is minus the Newton step
-            e, inner, _ = _solve_shifted(grid, dg, res_vec, atol_l1=tol * 1e-2, work=work)
+            e, inner, _ = _solve_shifted(grid, _shift(g, u), res_vec, atol_l1=tol * 1e-2,
+                                         work=work)
         except ConvergenceError as exc:
             exc.field = ScalarField(grid, u)
             raise

@@ -436,10 +436,10 @@ def test_experiment_config_unknown_key_exits_two(tmp_path, capsys):
 # (experiment, overrides, text that stderr must contain, test id)
 INTEGER_OVERRIDES = [
     ("exp_dirac_collapse", {"levels": [15, 31.5]}, "levels must be", None),
-    ("exp_nonconvexity", {"n": "9"}, "invalid grid config", None),
+    ("exp_nonconvexity", {"n": "9"}, "n must be", None),
     ("exp_truncation_suite", {"lemma_n": True}, "lemma_n must be", None),
-    ("exp_regularity_suite", {"dim": 2.0}, "invalid grid config", None),
-    ("exp_mollification_stability", {"n": 9.9}, "invalid grid config", None),
+    ("exp_regularity_suite", {"dim": 2.0}, "dim must be", None),
+    ("exp_mollification_stability", {"n": 9.9}, "n must be", None),
     ("exp_truncation_suite", {"instances": 2.7}, "instances must be", "instances=2.7"),
     ("exp_truncation_suite", {"instances": True}, "instances must be", "instances=True"),
     ("exp_regularity_suite", {"instances": "3"}, "instances must be", "instances='3'"),
@@ -608,6 +608,27 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _run_module(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(measopt.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "measopt.cli", *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+
+
+def test_module_entry_point_lists_the_experiments(tmp_path):
+    proc = _run_module("list", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.split() == measopt.list_experiments()
+    assert len(proc.stdout.split()) == 5
+
+
+def test_module_entry_point_exits_2_on_a_missing_problem_file(tmp_path):
+    proc = _run_module("solve", str(tmp_path / "missing.json"), "--out", str(tmp_path / "run"),
+                       cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.skipif(shutil.which("measopt") is None,

@@ -31,7 +31,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         _problem(grid, p=0.5)
     for alpha in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        with pytest.raises(ValueError, match="alpha must be a finite real > 0"):
             _problem(grid, alpha=alpha)
     with pytest.raises(ValueError):
         _problem(grid, u_d=zeros_field(build_grid(2, 7)))
@@ -425,12 +425,26 @@ def test_alpha_sweep_misfit_monotone():
     assert rows[-1].misfit < rows[0].misfit
 
 
+def test_adjoint_rejects_a_negative_derivative():
+    # g = 0 passes every state solve with no Newton step, so only the adjoint reads g'
+    grid = build_grid(2, 9)
+    g = Nonlinearity.from_callable(lambda t: 0.0 * np.asarray(t),
+                                   deriv=lambda t: -np.ones_like(t))
+    prob = _problem(grid, p=2.0, alpha=0.05, g=g,
+                    u_d=named_field(grid, "sines", {"amplitude": 0.5}))
+    zero = DiscreteMeasure.from_density(zeros_field(grid))
+    for run in (lambda: adjoint_gradient(prob, zero),
+                lambda: optimize(prob, OptimizeConfig(max_iter=3))):
+        with pytest.raises(ValueError, match="invalid nonlinearity: negative derivative"):
+            run()
+
+
 def test_alpha_sweep_validation():
     grid = build_grid(2, 5)
     with pytest.raises(ValueError):
         alpha_sweep(_problem(grid, p=math.inf), [0.1])
     for bad in (-0.2, math.inf):
-        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        with pytest.raises(ValueError, match="alpha must be a finite real > 0"):
             alpha_sweep(_problem(grid), [0.1, bad])
 
 

@@ -178,21 +178,27 @@ def test_from_config_rejects_non_numbers(cfg, key):
         nonlinearity_from_config(cfg)
 
 
+# (id, constructor call, what the error must name)
 NON_FINITE_PARAMETERS = [
-    ("linear-nan", lambda: Nonlinearity.linear(math.nan)),
-    ("linear-inf", lambda: Nonlinearity.linear(math.inf)),
-    ("power-inf", lambda: Nonlinearity.power(math.inf)),
-    ("table-nan-breakpoint", lambda: Nonlinearity.table([-1.0, math.nan, 1.0], [-1.0, 0.0, 1.0])),
-    ("table-inf-breakpoint", lambda: Nonlinearity.table([-1.0, 0.0, math.inf], [-1.0, 0.0, 1.0])),
-    ("table-nan-value", lambda: Nonlinearity.table([-1.0, 0.0, 1.0], [-1.0, 0.0, math.nan])),
-    ("table-minus-inf-value", lambda: Nonlinearity.table([-1.0, 0.0, 1.0], [-math.inf, 0.0, 1.0])),
-    ("callable-nan-at-zero", lambda: Nonlinearity.from_callable(lambda t: t * math.nan)),
+    ("linear-nan", lambda: Nonlinearity.linear(math.nan), r"\blam must be"),
+    ("linear-inf", lambda: Nonlinearity.linear(math.inf), r"\blam must be"),
+    ("power-inf", lambda: Nonlinearity.power(math.inf), r"\bq must be"),
+    ("table-nan-breakpoint", lambda: Nonlinearity.table([-1.0, math.nan, 1.0], [-1.0, 0.0, 1.0]),
+     r"\bt must be"),
+    ("table-inf-breakpoint", lambda: Nonlinearity.table([-1.0, 0.0, math.inf], [-1.0, 0.0, 1.0]),
+     r"\bt must be"),
+    ("table-nan-value", lambda: Nonlinearity.table([-1.0, 0.0, 1.0], [-1.0, 0.0, math.nan]),
+     r"\bg must be"),
+    ("table-minus-inf-value", lambda: Nonlinearity.table([-1.0, 0.0, 1.0], [-math.inf, 0.0, 1.0]),
+     r"\bg must be"),
+    ("callable-nan-at-zero", lambda: Nonlinearity.from_callable(lambda t: t * math.nan),
+     r"invalid nonlinearity: g\(0\)"),
 ]
 
 
-@pytest.mark.parametrize("build", [b for _, b in NON_FINITE_PARAMETERS],
-                         ids=[i for i, _ in NON_FINITE_PARAMETERS])
-def test_constructors_reject_non_finite_parameters(build):
+@pytest.mark.parametrize("build,key", [case[1:] for case in NON_FINITE_PARAMETERS],
+                         ids=[case[0] for case in NON_FINITE_PARAMETERS])
+def test_constructors_reject_non_finite_parameters(build, key):
     # each would break g(0) = 0 or make g' non-finite, and fail only inside a solve
-    with pytest.raises(ValueError, match="invalid nonlinearity"):
+    with pytest.raises(ValueError, match=key):
         build()

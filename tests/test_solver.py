@@ -662,7 +662,7 @@ def test_solver_rejects_decreasing_nonlinearity():
     grid = build_grid(2, 7)
     wobble = Nonlinearity.from_callable(np.sin, deriv=np.cos)
     m = _const_measure(grid, 60.0)  # pushes the state past the sine cap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid nonlinearity: negative derivative"):
         solve_semilinear(grid, wobble, m)
 
 
