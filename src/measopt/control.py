@@ -53,6 +53,10 @@ class ControlProblem:
     alpha: float
 
     def __post_init__(self):
+        for key, kind in (("g", Nonlinearity), ("u_d", ScalarField)):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(f"invalid config: {key} must be a {kind.__name__}, "
+                                 f"got {type(getattr(self, key)).__name__}")
         if self.u_d.grid != self.grid:
             raise ValueError("invalid config: target field lives on a different grid")
         p = real(self.p, "p", allow_inf=True)

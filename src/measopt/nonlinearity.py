@@ -91,8 +91,12 @@ class Nonlinearity:
         Outside the table the end segments extend linearly.
         """
         ts, gs = array(ts, "t"), array(gs, "g")
-        if ts.ndim != 1 or ts.shape != gs.shape or ts.size < 2:
-            raise ValueError("invalid nonlinearity: table needs matching 1-d arrays, length >= 2")
+        if ts.ndim != 1 or ts.size < 2:
+            raise ValueError(f"invalid config: t must be a 1-d array of length >= 2, "
+                             f"got shape {ts.shape}")
+        if gs.shape != ts.shape:
+            raise ValueError(f"invalid config: g must be a 1-d array as long as t, "
+                             f"got shape {gs.shape}")
         if np.any(np.diff(ts) <= 0.0):
             raise ValueError("invalid nonlinearity: table breakpoints must be strictly increasing")
         if np.any(np.diff(gs) < 0.0):
@@ -133,6 +137,8 @@ class Nonlinearity:
     def from_callable(cls, fn, deriv=None, primitive=None, label="callable") -> "Nonlinearity":
         """Wrap a user-supplied monotone g with g(0) = 0.
 
+        fn must be pointwise: its value at each node depends on that
+        node's t alone, as the solver's Jacobian diag(g'(u)) assumes.
         Missing derivative falls back to central differences; a missing
         primitive to 32-point Gauss-Legendre quadrature on [0, t].
         Monotonicity is only spot-checked during solves.

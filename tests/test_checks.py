@@ -14,6 +14,7 @@ from measopt import (ControlProblem, DiscreteMeasure, Nonlinearity, OptimizeConf
                      ScalarField, alpha_sweep, build_grid, constant_field, lp_norm,
                      mollify, run_experiment, scale, zeros_field)
 from measopt.checks import array, count, real
+from measopt.nonlinearity import nonlinearity_from_config
 
 GRID = build_grid(2, 9)
 ATOM = DiscreteMeasure.point((0.5, 0.5), 1.0)
@@ -58,6 +59,17 @@ SITES = [
     # structural arguments: a grid that is not a Grid, a density that is not a field
     ("field-grid", lambda v: ScalarField(v, np.zeros(81)), "grid", ((2, 9),)),
     ("measure-density", lambda v: DiscreteMeasure(2, density=v), "density", (np.zeros(81),)),
+    ("problem-u_d", lambda v: ControlProblem(GRID, Nonlinearity.power(2.0), v, 2.0, 0.1),
+     "u_d", (np.zeros(81),)),
+    ("problem-g", lambda v: ControlProblem(GRID, v, zeros_field(GRID), 2.0, 0.1), "g",
+     ("cubic", abs)),
+    # a table whose breakpoints are not a 1-d list, or whose values do not match them
+    ("table-shape-t", lambda v: nonlinearity_from_config({"kind": "table", "t": v,
+                                                          "g": [-1.0, 1.0]}),
+     "t", ([[-1, 0], [1, 2]], [0.0])),
+    ("table-shape-g", lambda v: nonlinearity_from_config({"kind": "table", "t": [-1.0, 1.0],
+                                                          "g": v}),
+     "g", ([[-1, 0], [1, 2]], [-1.0, 0.0, 1.0])),
 ]
 CASES = [(f"{site}={'ndarray' if isinstance(value, np.ndarray) else repr(value)}", call, key,
           value) for site, call, key, values in SITES for value in values]
