@@ -10,7 +10,8 @@ Problem files are JSON documents with a ``schema`` field:
       "alpha": 0.5,
       "u_d": {"name": "sines", "amplitude": 0.1},   (or {"file": "..."})
       "measure": {"atoms": [{"x": [0.5, 0.5], "w": 1.0}],
-                  "density_file": "...", "density": {"name": "..."}}
+                  "density_file": "...", "density": {"name": "..."}},
+      "tol": 1e-10, "optimizer": {"max_iter": 200}
     }
 
 Exit status: 0 when every assertion passes, 1 on assertion or solver
@@ -97,6 +98,18 @@ def _load_doc(path) -> dict:
     return doc
 
 
+# the keys some command reads: at the top level, and in the grid and measure sections
+_KNOWN_KEYS = {"the problem file": {"schema", "grid", "g", "p", "alpha", "u_d", "measure", "tol",
+                                    "optimizer"},
+               "grid": {"dim", "n"}, "measure": {"atoms", "density_file", "density"}}
+
+
+def _known(doc: dict, where: str) -> dict:
+    if unknown := sorted(set(doc) - _KNOWN_KEYS[where]):
+        raise ValueError(f"invalid config: unknown key(s) in {where}: {unknown}")
+    return doc
+
+
 def _section(doc: dict, key: str, default=None) -> dict:
     if not isinstance(value := doc.get(key, default), dict):
         raise ValueError(f"invalid config: {key!r} must be a JSON object, got {value!r}")
@@ -135,8 +148,9 @@ def _parse_measure(doc, grid, base: Path) -> DiscreteMeasure:
 
 def _problem_parts(path):
     base = Path(path).parent
-    doc = _load_doc(path)
-    grid_doc = _section(doc, "grid")
+    doc = _known(_load_doc(path), "the problem file")
+    grid_doc = _known(_section(doc, "grid"), "grid")
+    _known(_section(doc, "measure", {}), "measure")
     grid = build_grid(grid_doc.get("dim"), grid_doc.get("n"))
     g = nonlinearity_from_config(_section(doc, "g"))
     return doc, grid, g, base

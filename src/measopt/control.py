@@ -155,7 +155,7 @@ def _misfit_gradient_density(prob: ControlProblem, u_values: np.ndarray) -> np.n
 def _adjoint_from_state(prob: ControlProblem, u_values: np.ndarray) -> np.ndarray:
     """The adjoint state; a failed solve raises its ConvergenceError."""
     rhs = _misfit_gradient_density(prob, u_values)
-    phi, _, _ = _solve_shifted(prob.grid, _shift(prob.g, u_values), rhs,
+    phi, _, _ = _solve_shifted(prob.grid, _shift(prob.grid, prob.g, u_values), rhs,
                                atol_l1=DEFAULT_TOL * 1e-2)
     return phi
 

@@ -619,7 +619,7 @@ def exp_mollification_stability(spec: ExperimentSpec) -> ExperimentReport:
     if not radius_start >= 2.0 * grid.h:  # mollify resolves a radius of 2h or more
         raise ValueError(f"invalid config: radius_start must be >= 2h = {2.0 * grid.h}, "
                          f"got {radius_start}")
-    radii = np.geomspace(radius_start, 4.0 * grid.h, count(par["radius_count"], "radius_count"))
+    radii = np.geomspace(radius_start, 4.0 * grid.h, count(par["radius_count"], "radius_count", least=2))
     f_target = evaluate_cost(prob, mu)
     rows = []
     f_values = []

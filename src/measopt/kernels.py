@@ -35,23 +35,25 @@ and padded copies rather than arithmetic: against a zero-padded real FFT
 per axis with one BLAS thread it was 1.7-6.7x faster in 2-D for
 n = 17..255 and 1.3-8.5x in 3-D for n = 15..191, tying at 2-D n = 511.
 
-From SPLIT_MIN nodes of a 3-D grid (n >= 38), on two CPUs or more and
-with one BLAS thread, a solve's full-grid passes (the transform's
-products, the stencil and the vector updates) run half on the calling
-thread and half on one daemon worker; ``grid_plan`` makes the choice
-once per grid (``Plan.halves``).  Sums and dot products stay whole on the
-calling thread and a product is cut on OpenBLAS's DGEMM tiles, so every
-result is bit for bit the serial one.  A threaded BLAS cuts its products
-its own way and already spreads them over both cores (the split lost
-there), so without OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) = 1 every
-pass runs whole.  Split, one transform took 0.55-0.71 of its whole time
-at n = 63 (in four runs of five) and 0.68-0.89 at n = 47, but 1.4-2.1
-times it at n = 31, where the 30 us hand-off loses (BENCH_30_two_core.json).
+From SPLIT_MIN nodes of a 3-D grid (n >= 38) every full-grid pass of a
+solve (transform products, stencil, g and g', vector updates) runs as
+two halves cut at row n // 2 of axis 0 (``_halves``), each returning
+its pass's partial sums, which add low + high.  The grid alone fixes the
+sums' order and a product is cut on OpenBLAS's DGEMM tiles, so the bytes
+do not depend on where the high half runs: on one daemon worker, which
+calls no name a tracer may wrap, with one BLAS thread and two CPUs or
+more, else after the low half.  A threaded BLAS cuts its products its
+own way and already spreads them over both cores, so without
+OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) = 1 the worker stays idle.
+Split, one transform took 0.55-0.71 of its whole time at n = 63 (in four
+runs of five) and 0.68-0.89 at n = 47, but 1.4-2.1 times it at n = 31,
+where the 30 us hand-off loses (BENCH_30_two_core.json).
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from typing import NamedTuple
@@ -79,7 +81,8 @@ class Plan(NamedTuple):
     eig: np.ndarray    # the eigenvalues of -Lap_h on the sine modes, flat, read-only
     slices: tuple      # per axis (lo, hi), then (hi, lo): out[lo] -= a[hi]
     passes: tuple      # the shape of each transform pass: last axis first
-    halves: object     # ``_halves`` or None (whole): ``runner``'s choice when the plan was built
+    two: object        # None (passes run whole) or ``runner``'s way to run a cut pass's halves
+    run: object        # run(fn, *args) makes fn(*args) a pass: whole, or ``_halves``
 
 
 @functools.lru_cache(maxsize=32)
@@ -103,8 +106,25 @@ def grid_plan(dim: int, n: int) -> Plan:
         slices += [(below, above), (above, below)]
     passes = ((n ** (dim - 1), n),) + tuple((n ** ax, n, n ** (dim - 1 - ax))
                                             for ax in range(dim - 1))
-    return Plan(h, h ** dim, 1.0 / (h * h), sine, eig.reshape(-1), tuple(slices), passes,
-                runner(dim, n ** dim))
+    two = runner(dim, n ** dim)
+    return Plan(h, h ** dim, 1.0 / (h * h), sine, eig.reshape(-1), tuple(slices), passes, two,
+                _call if two is None else functools.partial(_halves, two, n // 2 * n ** (dim - 1)))
+
+
+_call = getattr(operator, "call", lambda fn, *args: fn(*args))  # operator.call: Python 3.11
+
+
+def _halves(two, cut, fn, *args):
+    """fn(*args) as two halves cut at the flat index ``cut`` (row n // 2 of axis 0), run by
+    ``two``: each array in args with an axis is cut there, a tuple gives each half its own
+    entry and any other argument goes to both.  The halves' results add low + high when
+    they are numbers or tuples of numbers; any other result is dropped."""
+    low, high = two(fn, *([a[i] if type(a) is tuple else
+                           a[part] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
+                          for i, part in enumerate((slice(0, cut), slice(cut, None)))))
+    if isinstance(low, tuple):
+        return tuple(lo + hi for lo, hi in zip(low, high))
+    return low + high if isinstance(low, float) else None
 
 
 class _Worker(threading.Thread):
@@ -114,13 +134,13 @@ class _Worker(threading.Thread):
         super().__init__(name="measopt-split", daemon=True)
         self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
         self.go.acquire(), self.done.acquire()
-        self.job = self.error = None
+        self.job = self.result = self.error = None
         self.start()
 
     def run(self):
         while self.go.acquire():
             try:
-                self.job[0](*self.job[1])
+                self.result = self.job[0](*self.job[1])
             except BaseException as exc:  # re-raised by the caller
                 self.error = exc
             self.job = None  # keep no array past the job
@@ -138,41 +158,38 @@ _cpu_count = ((lambda: len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaf
 
 
 def runner(dim: int, size: int):
-    """``_halves`` when the full-grid passes over ``size`` nodes of a dim-D grid run in
-    halves: from SPLIT_MIN nodes of a 3-D grid, with one BLAS thread and two CPUs; else
-    None, and they run whole.  ``grid_plan`` asks once per grid."""
-    if dim != 3 or size < SPLIT_MIN or not ONE_BLAS_THREAD or _cpu_count() < 2:
+    """How the full-grid passes over ``size`` nodes of a dim-D grid run: whole (None) outside
+    3-D or below SPLIT_MIN nodes; else in two halves, the high one on the worker (``_two``)
+    with one BLAS thread and two CPUs, or else after the low one (``_in_turn``), to the
+    same bytes.  ``grid_plan`` asks once per grid."""
+    if dim != 3 or size < SPLIT_MIN:
         return None
-    return _halves
+    return _two if ONE_BLAS_THREAD and _cpu_count() > 1 else _in_turn
 
 
 def _two(fn, lo, hi):
-    """fn(*lo) here while the worker runs fn(*hi), whose error is re-raised here; both
-    here, in turn, when another thread holds the worker."""
+    """(fn(*lo) here, fn(*hi) in the worker), whose error is re-raised here; both here, in
+    turn, when another thread holds the worker."""
     global _worker
     with _worker_lock:
         worker = _worker = _worker or _Worker()
     if not worker.busy.acquire(blocking=False):
-        fn(*lo)
-        return fn(*hi)
+        return _in_turn(fn, lo, hi)
     worker.job = fn, hi
     worker.go.release()
     try:
-        fn(*lo)
+        low = fn(*lo)
     finally:
         worker.done.acquire()  # if interrupted, busy stays held and passes run serially
-        error, worker.error = worker.error, None
+        error, high, worker.error, worker.result = worker.error, worker.result, None, None
         worker.busy.release()
     if error is not None:
         raise error
+    return low, high
 
 
-def _halves(fn, *args):
-    """fn(*args) on the low half of every array in args that has an axis here, and on the
-    high half in the worker; args[-1] is a full-grid flat array."""
-    k = args[-1].size // 2
-    _two(fn, *([a[part] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
-               for part in (slice(0, k), slice(k, None))))
+def _in_turn(fn, lo, hi):
+    return fn(*lo), fn(*hi)
 
 
 def neg_laplacian_numpy(u, dim: int, n: int, out=None):
@@ -185,9 +202,9 @@ def neg_laplacian_numpy(u, dim: int, n: int, out=None):
     a = u.reshape((n,) * dim)
     if out is None:
         out = np.empty(u.size)
-    if plan.halves:
+    if plan.two:
         res = out.reshape(a.shape)
-        _two(_slab, (a, res, 0, n // 2, plan), (a, res, n // 2, n, plan))
+        plan.two(_slab, (a, res, 0, n // 2, plan), (a, res, n // 2, n, plan))
         return out
     res = np.multiply(a, 2.0 * dim, out=out.reshape(a.shape))
     for lo, hi in plan.slices:
@@ -241,14 +258,17 @@ def _transform_halves(a, plan: Plan, out, tmp):
                                          (tmp, out, 0, n // 2))):
         x, y = x.reshape(plan.passes[i]), y.reshape(plan.passes[i])
         lo, hi = ((slice(None),) * axis + (part,) for part in (slice(0, k), slice(k, None)))
-        _two(np.matmul, *((x[c], s, y[c]) if i == 0 else (s, x[c], y[c]) for c in (lo, hi)))
+        plan.two(np.matmul, *((x[c], s, y[c]) if i == 0 else (s, x[c], y[c]) for c in (lo, hi)))
     return out
 
 
 def inverse_eigenvalues(dim: int, n: int, c: float) -> np.ndarray:
     """(lam + c)^-1 for the eigenvalues lam of -Lap_h, flat; a fresh array."""
-    inv_eig = np.add(grid_plan(dim, n).eig, c)
-    return np.divide(1.0, inv_eig, out=inv_eig)
+    plan = grid_plan(dim, n)
+    inv_eig = np.empty(plan.eig.size)
+    plan.run(np.add, plan.eig, c, inv_eig)
+    plan.run(np.divide, 1.0, inv_eig, inv_eig)
+    return inv_eig
 
 
 def sine_solve(b, inv_eig, dim: int, n: int, out, mid, tmp):
@@ -257,13 +277,10 @@ def sine_solve(b, inv_eig, dim: int, n: int, out, mid, tmp):
     ``out``, ``mid`` (the first transform) and ``tmp`` are flat, disjoint from b and each other.
     """
     plan = grid_plan(dim, n)
-    if plan.halves:
-        _transform_halves(b, plan, mid, tmp)
-        _halves(np.multiply, mid, inv_eig, mid)
-        return _transform_halves(mid, plan, out, tmp)
-    _sine_transform(b, plan, mid, tmp)
-    mid *= inv_eig
-    return _sine_transform(mid, plan, out, tmp)
+    transform = _transform_halves if plan.two else _sine_transform
+    transform(b, plan, mid, tmp)
+    plan.run(np.multiply, mid, inv_eig, mid)
+    return transform(mid, plan, out, tmp)
 
 
 def rounding_floor(b, x, fx, dim: int, n: int, out) -> float:
@@ -272,10 +289,14 @@ def rounding_floor(b, x, fx, dim: int, n: int, out) -> float:
     ``out`` is scratch of b's size for the absolute values; it may be fx, and fx may be b.
     """
     plan = grid_plan(dim, n)
-    sum_fx = np.abs(fx, out=out).sum()  # first, so that out may be fx
-    sum_b = sum_fx if fx is b else np.abs(b, out=out).sum()
-    total = float(sum_b + 4.0 * dim / (plan.h * plan.h) * np.abs(x, out=out).sum() + sum_fx)
+    sum_b, sum_x, sum_fx = plan.run(_floor_sums, b, x, fx, out, fx is b)
+    total = float(sum_b + 4.0 * dim / (plan.h * plan.h) * sum_x + sum_fx)
     return FLOOR_C * float(np.finfo(np.float64).eps) * plan.hd * total
+
+
+def _floor_sums(b, x, fx, out, fx_is_b):  # sum |fx| first, so that out may be fx
+    sum_fx = np.abs(fx, out=out).sum()
+    return sum_fx if fx_is_b else np.abs(b, out=out).sum(), np.abs(x, out=out).sum(), sum_fx
 
 
 def cg_shifted(b, diag, dim: int, n: int, atol_l1: float, maxiter: int, work=None):
@@ -296,8 +317,8 @@ def cg_shifted(b, diag, dim: int, n: int, atol_l1: float, maxiter: int, work=Non
     into it, so an iteration allocates nothing.  A caller that solves
     repeatedly passes one workspace to every call; without it CG
     allocates its own.  Slots are written before they are read, and x is
-    a fresh array that aliases none of them.  On a grid whose passes run
-    in halves (``Plan.halves``), ``_cg_halves`` takes the same steps.
+    a fresh array that aliases none of them.  Each node-by-node phase is
+    one ``Plan.run`` pass that returns the sums its step reads.
 
     Returns
     -------
@@ -306,100 +327,62 @@ def cg_shifted(b, diag, dim: int, n: int, atol_l1: float, maxiter: int, work=Non
     plan = grid_plan(dim, n)
     if work is None:
         work = np.empty((6, b.size))
-    if plan.halves:
-        return _cg_halves(b, diag, dim, n, atol_l1, maxiter, work)
     hd = plan.hd
     r, z, p, mp_slot, ap, tmp = work
-    c = float(diag.sum()) / diag.size  # mean(d), without numpy's Python-level mean
+    c = float(plan.run(np.ndarray.sum, diag) if diag.ndim else diag) / diag.size  # mean(d)
     inv_eig = inverse_eigenvalues(dim, n, c)
-    d_minus_c = diag - c
-    x = np.zeros(b.size)
-    np.copyto(r, b)
-    res_l1 = hd * float(np.abs(r, out=tmp).sum())
+    d_minus_c, x = np.empty(b.size), np.empty(b.size)
+    res_l1 = hd * float(plan.run(_cg_start, b, diag, c, d_minus_c, x, r, tmp))
     if res_l1 <= atol_l1:
         return x, 0, res_l1, True
     sine_solve(r, inv_eig, dim, n, p, ap, tmp)  # the first direction is z = M^-1 r
     mp = b  # M p = r = b; the first update moves it into its slot
-    rz = float(r @ p)
+    rz = float(plan.run(operator.matmul, r, p))
+    pAp = float(plan.run(_cg_ap, mp, d_minus_c, p, ap))
     it = 0
     while it < maxiter:
-        np.add(mp, np.multiply(d_minus_c, p, out=ap), out=ap)  # A p
-        pAp = float(p @ ap)
         if pAp <= 0.0:
             break  # loss of positive definiteness: bail to true-residual check
         alpha = rz / pAp
-        x += np.multiply(p, alpha, out=tmp)
-        r -= np.multiply(ap, alpha, out=tmp)
+        res_l1 = hd * float(plan.run(_cg_step, x, r, p, ap, alpha, tmp))
         it += 1
-        res_l1 = hd * float(np.abs(r, out=tmp).sum())
         if res_l1 <= atol_l1 or not math.isfinite(res_l1):  # NaN or inf in b or d
             break
         sine_solve(r, inv_eig, dim, n, z, ap, tmp)
-        rz_new = float(r @ z)
+        rz_new = float(plan.run(operator.matmul, r, z))
         beta = rz_new / rz
-        np.add(z, np.multiply(p, beta, out=p), out=p)
-        mp = np.add(r, np.multiply(mp, beta, out=mp_slot), out=mp_slot)
-        rz = rz_new
-    fx = np.multiply(diag, x, out=tmp)
-    np.subtract(b, np.add(neg_laplacian_numpy(x, dim, n, out=ap), fx, out=ap), out=r)
-    res_l1 = hd * float(np.abs(r, out=z).sum())
-    return x, it, res_l1, res_l1 <= atol_l1 or res_l1 <= rounding_floor(b, x, fx, dim, n, out=tmp)
-
-
-def _cg_halves(b, diag, dim: int, n: int, atol_l1: float, maxiter: int, work):
-    """``cg_shifted`` step for step with each node-by-node phase run in halves; the sums and
-    dot products, whole here, keep every result bit for bit."""
-    hd = grid_plan(dim, n).hd
-    r, z, p, mp_slot, ap, tmp = work
-    c = float(diag.sum()) / diag.size
-    inv_eig = inverse_eigenvalues(dim, n, c)
-    d_minus_c = diag - c
-    x = np.zeros(b.size)
-    np.copyto(r, b)
-    res_l1 = hd * float(np.abs(r, out=tmp).sum())
-    if res_l1 <= atol_l1:
-        return x, 0, res_l1, True
-    sine_solve(r, inv_eig, dim, n, p, ap, tmp)
-    mp, rz, it = b, float(r @ p), 0
-    while it < maxiter:
-        _halves(_cg_ap, mp, d_minus_c, p, ap)
-        pAp = float(p @ ap)
-        if pAp <= 0.0:
-            break
-        alpha = rz / pAp
-        _halves(_cg_step, x, r, p, ap, alpha, tmp)
-        it += 1
-        res_l1 = hd * float(tmp.sum())
-        if res_l1 <= atol_l1 or not math.isfinite(res_l1):
-            break
-        sine_solve(r, inv_eig, dim, n, z, ap, tmp)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        _halves(_cg_directions, z, beta, mp_slot, r, mp, p)
+        pAp = float(plan.run(_cg_directions, z, beta, mp_slot, r, mp, p, d_minus_c, ap))
         mp, rz = mp_slot, rz_new
     neg_laplacian_numpy(x, dim, n, out=ap)
-    _halves(_cg_residual, b, diag, x, ap, tmp, r, z)
-    res_l1 = hd * float(z.sum())
+    res_l1 = hd * float(plan.run(_cg_residual, b, diag, x, ap, tmp, r, z))
     return x, it, res_l1, res_l1 <= atol_l1 or res_l1 <= rounding_floor(b, x, tmp, dim, n, out=tmp)
 
 
-# the phases of ``_cg_halves``, each cg_shifted's code for its step
+# the phases of ``cg_shifted``
 
-def _cg_ap(mp, d_minus_c, p, ap):
-    np.add(mp, np.multiply(d_minus_c, p, out=ap), out=ap)  # A p
+def _cg_start(b, diag, c, d_minus_c, x, r, tmp):  # d - c, x = 0 and r = b; sum |r|
+    np.subtract(diag, c, out=d_minus_c)
+    x.fill(0.0)
+    np.copyto(r, b)
+    return np.abs(r, out=tmp).sum()
 
 
-def _cg_step(x, r, p, ap, alpha, tmp):
+def _cg_ap(mp, d_minus_c, p, ap):  # A p; p A p
+    np.add(mp, np.multiply(d_minus_c, p, out=ap), out=ap)
+    return p @ ap
+
+
+def _cg_step(x, r, p, ap, alpha, tmp):  # x and r; sum |r|
     x += np.multiply(p, alpha, out=tmp)
     r -= np.multiply(ap, alpha, out=tmp)
-    np.abs(r, out=tmp)
+    return np.abs(r, out=tmp).sum()
 
 
-def _cg_directions(z, beta, mp_slot, r, mp, p):  # the next p, and M p into mp_slot
+def _cg_directions(z, beta, mp_slot, r, mp, p, d_minus_c, ap):  # the next p, M p and A p
     np.add(z, np.multiply(p, beta, out=p), out=p)
-    np.add(r, np.multiply(mp, beta, out=mp_slot), out=mp_slot)
+    return _cg_ap(np.add(r, np.multiply(mp, beta, out=mp_slot), out=mp_slot), d_minus_c, p, ap)
 
 
-def _cg_residual(b, diag, x, ap, fx, r, z):
-    """r = b - (-Lap_h x + f(x)) from ap = -Lap_h x, with f(x) = diag x into fx and |r| into z."""
-    np.abs(np.subtract(b, np.add(ap, np.multiply(diag, x, out=fx), out=ap), out=r), out=z)
+def _cg_residual(b, diag, x, ap, fx, r, z):  # r = b - (ap + fx), fx = diag x; sum |r|
+    return np.abs(np.subtract(b, np.add(ap, np.multiply(diag, x, out=fx), out=ap), out=r),
+                  out=z).sum()

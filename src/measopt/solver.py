@@ -86,12 +86,23 @@ def _solve_shifted(grid: Grid, diag, rhs, atol_l1: float, work=None):
     return x, iters, res_l1
 
 
-def _shift(g: Nonlinearity, u: np.ndarray) -> np.ndarray:
+def _shift(grid: Grid, g: Nonlinearity, u: np.ndarray) -> np.ndarray:
     """g'(u) clamped at 0, the shift of the linearized operator; g' < -1e-12 is a ValueError."""
-    dg = np.asarray(g.derivative(u))
-    if dg.min() < -1e-12:
+    plan = kernels.grid_plan(grid.dim, grid.n)
+    out = np.empty(u.size) if plan.two else None  # whole, g' is clamped where it lands
+    dg = plan.run(_clamped, _per_half(plan, g.derivative, "dg"), u, out)
+    return dg if out is None else out
+
+
+def _clamped(dg, u, out):
+    d = np.asarray(dg(u))
+    if d.min() < -1e-12:
         raise ValueError("invalid nonlinearity: negative derivative detected during solve")
-    return np.maximum(dg, 0.0, out=dg)
+    return np.maximum(d, 0.0, out=d if out is None else out)
+
+
+def _per_half(plan, method, kind_fn: str):  # the worker's half calls no name a tracer wraps
+    return method if plan.two is None else (method, method.__self__._fns[kind_fn])
 
 
 def solve_linear(grid: Grid, m: DiscreteMeasure, tol: float = DEFAULT_TOL):
@@ -111,16 +122,14 @@ def _evaluate(grid: Grid, g: Nonlinearity, rhs: np.ndarray, u: np.ndarray, lap, 
     lap is scratch.
     """
     kernels.neg_laplacian(u, grid.dim, grid.n, out=lap)
-    halves = kernels.grid_plan(grid.dim, grid.n).halves
-    if halves:
-        halves(_residual, lap, np.asarray(g(u)), rhs, res)
-        return float(lap.sum()) * grid.cell_volume
+    plan = kernels.grid_plan(grid.dim, grid.n)
+    total = plan.run(_residual, _per_half(plan, g.__call__, "g"), lap, u, rhs, res)
+    return float(total) * grid.cell_volume
+
+
+def _residual(g, lap, u, rhs, res):  # _evaluate's residual; sum |res|, with |res| into lap
     np.subtract(np.add(lap, np.asarray(g(u)), out=res), rhs, out=res)
-    return float(np.abs(res, out=lap).sum()) * grid.cell_volume
-
-
-def _residual(lap, gu, rhs, res):  # _evaluate's residual, with |res| into lap
-    np.abs(np.subtract(np.add(lap, gu, out=res), rhs, out=res), out=lap)
+    return np.abs(res, out=lap).sum()
 
 
 def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
@@ -151,6 +160,7 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     """
     tol = checks.real(tol, "tol", positive=True)
     rhs = rasterize(m, grid).values
+    plan = kernels.grid_plan(grid.dim, grid.n)
     work = np.empty((6, rhs.size))
     cand, cand_res, lap = work[:3]
     u = kernels.sine_solve(rhs, kernels.inverse_eigenvalues(grid.dim, grid.n, 0.0),
@@ -170,7 +180,7 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         if residual <= accept:
             break
         try:  # CG is odd in its right-hand side, so e = A^-1 res is minus the Newton step
-            e, inner, _ = _solve_shifted(grid, _shift(g, u), res_vec, atol_l1=tol * 1e-2,
+            e, inner, _ = _solve_shifted(grid, _shift(grid, g, u), res_vec, atol_l1=tol * 1e-2,
                                          work=work)
         except ConvergenceError as exc:
             exc.field = ScalarField(grid, u)
@@ -178,18 +188,17 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
         inner_total += inner
         tau = 1.0
         while tau >= 1e-12:
-            np.subtract(u, np.multiply(e, tau, out=cand), out=cand)
+            plan.run(_trial, u, e, tau, cand)
             cand_residual = _evaluate(grid, g, rhs, cand, lap, cand_res)
             if cand_residual < residual:
                 break
             tau *= 0.5
         else:
             break  # no step lowers the residual
-        np.copyto(u, cand)
         residual = cand_residual
         newton_its += 1
-        if residual > accept:  # only a further step reads the residual vector
-            np.copyto(res_vec, cand_res)
+        # only a further step reads the residual vector
+        plan.run(_take, u, cand, res_vec, cand_res, residual > accept)
 
     report = SolveReport(newton_its, residual, residual <= accept,
                          method="newton+cg", inner_iterations=inner_total)
@@ -199,6 +208,16 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             f"no convergence: newton residual {residual:.3e} > {accept:.1e} "
             f"after {newton_its} iterations", report=report, field=out)
     return out, report
+
+
+def _trial(u, e, tau, cand):  # cand = u - tau e
+    np.subtract(u, np.multiply(e, tau, out=cand), out=cand)
+
+
+def _take(u, cand, res_vec, cand_res, with_residual):
+    np.copyto(u, cand)
+    if with_residual:
+        np.copyto(res_vec, cand_res)
 
 
 def solve_by_sub_supersolution(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,

@@ -449,6 +449,9 @@ INTEGER_OVERRIDES = [
      "radius_count=3.9"),
     ("exp_mollification_stability", {"radius_count": "5"}, "radius_count must be",
      "radius_count='5'"),
+    # one radius never reaches the 4h the assertion reads
+    ("exp_mollification_stability", {"radius_count": 1}, "radius_count must be an integer >= 2",
+     "radius_count=1"),
 ]
 
 
@@ -566,6 +569,25 @@ def test_problem_file_rejects_bad_field_or_g_numbers(tmp_path, capsys, command, 
     path = _write_problem(tmp_path, doc)
     assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("solve", dict(PROBLEM, tolerance=1e-3), "tolerance"),
+    ("optimize", dict(PROBLEM, optimiser={"max_iter": 3}), "optimiser"),
+    ("solve", dict(PROBLEM, grid={"dim": 2, "n": 9, "h": 0.1}), "h"),
+    ("optimize", dict(PROBLEM, grid={"dim": 2, "n": 9, "size": 9}), "size"),
+    ("solve", dict(PROBLEM, measure={"atom": [{"x": [0.5, 0.5], "w": 1.0}]}), "atom"),
+    ("optimize", dict(PROBLEM, measure={"densty": {"name": "zero"}}), "densty"),
+], ids=["top-tolerance", "top-optimiser", "grid-h", "grid-size", "measure-atom",
+        "measure-densty"])
+def test_a_key_no_command_reads_exits_two_and_names_it(tmp_path, capsys, command, doc, key):
+    # a misspelt key would otherwise be dropped: "atom" solved the zero measure, and
+    # "tolerance" kept tol at 1e-10
+    path = _write_problem(tmp_path, doc)
+    assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and repr(key) in err
     assert not (tmp_path / "run").exists()
 
 

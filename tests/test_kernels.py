@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measopt import (DiscreteMeasure, Nonlinearity, ScalarField, build_grid, kernels,
-                     rasterize, solve_linear, solve_semilinear)
+from measopt import (ControlProblem, DiscreteMeasure, Nonlinearity, ScalarField, adjoint_gradient,
+                     build_grid, kernels, rasterize, solve_linear, solve_semilinear, solver)
 from measopt.kernels import (_sine_transform, cg_shifted, grid_plan, inverse_eigenvalues,
                              neg_laplacian, sine_solve)
 
@@ -217,56 +217,100 @@ def _kernel_outputs(dim, n, seed):
     diag = rng.uniform(0.0, 10.0 ** rng.uniform(-2, 3), size)
     c = float(rng.uniform(0.0, 100.0))
     plan = kernels.grid_plan(dim, n)  # the plan of the policy in force
-    transform = kernels._transform_halves if plan.halves is kernels._halves else _sine_transform
+    transform = kernels._transform_halves if plan.two else _sine_transform
+    grid = build_grid(dim, n)
+    g = Nonlinearity.power(3.0)
     outputs = [neg_laplacian(b, dim, n).tobytes(),
                transform(b, plan, np.empty(size), np.empty(size)).tobytes(),
+               inverse_eigenvalues(dim, n, c).tobytes(),
                sine_solve(b, inverse_eigenvalues(dim, n, c), dim, n,
-                          *np.empty((3, size))).tobytes()]
+                          *np.empty((3, size))).tobytes(),
+               kernels.rounding_floor(b, diag, b, dim, n, out=np.empty(size)),
+               kernels.rounding_floor(b, diag, c * b, dim, n, out=np.empty(size)),
+               solver._shift(grid, g, b).tobytes()]
     for shift, work in ((diag, None), (diag, np.full((6, size), np.nan)),
                         (np.asarray(c), None)):
         x, *rest = cg_shifted(b, shift, dim, n, 1e-12, 200, work=work)
         outputs += [x.tobytes(), rest]
-    grid = build_grid(dim, n)
     m = DiscreteMeasure(dim, atoms=((tuple(rng.uniform(0.2, 0.8, dim)), 0.3),),
                         density=ScalarField(grid, 5.0 * b))
-    u, report = solve_semilinear(grid, Nonlinearity.power(3.0), m)
+    u, report = solve_semilinear(grid, g, m)
     return outputs + [u.values.tobytes(), report]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 7, 8, 15]), st.integers(0, 2 ** 32 - 1))
 def test_every_split_pass_matches_the_serial_pass_bitwise(dim, n, seed):
-    serial = _kernel_outputs(dim, n, seed)
+    # every 3-D grid cut: the worker running the high half changes no byte, and 1-D and
+    # 2-D grids, never cut, keep the whole-array path; so do 3-D grids under SPLIT_MIN
     with pytest.MonkeyPatch.context() as mp:
-        _split_now(mp, skip=False)
-        split = _kernel_outputs(dim, n, seed)
-    assert split == serial
-    if dim == 3:
+        _passes(mp, split=False)
+        whole = _kernel_outputs(dim, n, seed)
+    assert kernels.grid_plan(dim, n).two is None
+    assert _kernel_outputs(dim, n, seed) == whole
+    outputs = {}
+    for worker in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            _passes(mp, split=True, worker=worker)
+            assert (kernels.grid_plan(dim, n).two is not None) == (dim == 3)
+            outputs[worker] = _kernel_outputs(dim, n, seed)
+    assert outputs[True] == outputs[False]
+    if dim < 3:
+        assert outputs[True] == whole
+    else:
         assert (kernels._worker is not None) == TWO_CPUS
 
 
-def _passes(monkeypatch, split):
-    """Every grid's passes split (from 0 nodes, as with one BLAS thread) or whole, on
-    plans built afresh: a plan keeps the choice it was built with."""
+def _passes(monkeypatch, split, worker=True):
+    """Every 3-D grid's passes cut (from 0 nodes) or whole, the high half on the worker (as
+    with one BLAS thread) or not, on plans built afresh: a plan keeps the choice it was
+    built with."""
     monkeypatch.setattr(kernels, "SPLIT_MIN", 0 if split else 10 ** 9)
-    monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", True)
+    monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", worker)
     monkeypatch.setattr(kernels, "grid_plan", functools.lru_cache(kernels.grid_plan.__wrapped__))
 
 
 def test_a_split_grid_runs_each_node_by_node_phase_in_halves(monkeypatch):
     phases = []
 
-    def halves(fn, *args):
-        phases.append(fn)
-        return halves_fn(fn, *args)
+    def recording(two):
+        def halves(fn, lo, hi):
+            phases.append(getattr(fn, "__name__", fn))
+            return two(fn, lo, hi)
+        return halves
 
-    halves_fn = kernels._halves
-    monkeypatch.setattr(kernels, "_halves", halves)
+    for name in ("_two", "_in_turn"):
+        monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
     _split_now(monkeypatch, skip=False)
-    solve_semilinear(*_state_problem(7))
-    assert {kernels._cg_ap, kernels._cg_step, kernels._cg_directions, kernels._cg_residual,
-            np.multiply}.issubset(phases)
-    assert any(getattr(fn, "__name__", "") == "_residual" for fn in phases)  # solver._evaluate
+    grid, g, m = _state_problem(7)
+    solve_semilinear(grid, g, m)
+    prob = ControlProblem(grid, g, ScalarField(grid, np.full(grid.total_interior, 0.1)), 2.0, 0.1)
+    adjoint_gradient(prob, m)
+    # np.matmul (the transform) and operator.matmul (CG's r z) share a name
+    assert {"_slab", "matmul", "multiply", "add", "divide", "_floor_sums",  # kernels
+            "sum", "_cg_start", "_cg_ap", "_cg_step", "_cg_directions", "_cg_residual",
+            "_residual", "_clamped", "_trial", "_take"} == set(phases)  # solver
+
+
+def test_a_negative_derivative_in_either_half_is_caught(monkeypatch):
+    # u is 0 in the low half and -1 in the high one, the worker's on two CPUs
+    _split_now(monkeypatch, skip=False)
+    grid = build_grid(3, 7)
+    k = 7 // 2 * 7 ** 2  # row n // 2 of axis 0
+    seen = []
+
+    def deriv(t):
+        if (t < 0.0).any():
+            seen.append(threading.get_ident())
+        return np.where(t < 0.0, -1.0, 1.0)
+
+    g = Nonlinearity.from_callable(lambda t: 0.0 * t, deriv=deriv)
+    for u in (np.r_[np.zeros(k), -np.ones(grid.total_interior - k)],
+              np.r_[-np.ones(k), np.zeros(grid.total_interior - k)]):
+        with pytest.raises(ValueError, match="invalid nonlinearity: negative derivative"):
+            solver._shift(grid, g, u)
+    assert len(seen) == 2
+    assert (seen[0] != threading.get_ident()) == TWO_CPUS and seen[1] == threading.get_ident()
 
 
 def _split_now(monkeypatch, skip=True):
@@ -288,7 +332,7 @@ def test_an_error_in_the_workers_half_reaches_the_caller_and_the_worker_recovers
     assert worker.job is None and worker.error is None and not worker.busy.locked()
     grid, g, m = _state_problem(7)
     u, report = solve_semilinear(grid, g, m)
-    _passes(monkeypatch, False)
+    _passes(monkeypatch, True, worker=False)
     assert u.values.tobytes() == solve_semilinear(grid, g, m)[0].values.tobytes()
 
 
@@ -296,13 +340,14 @@ def test_the_worker_keeps_no_array_after_a_job(monkeypatch):
     _split_now(monkeypatch)
     a = np.random.default_rng(0).standard_normal(4096)
     out = np.empty_like(a)
-    kernels.runner(3, a.size)(np.multiply, a, 2.0, out)
+    assert kernels.runner(3, a.size) is kernels._two
+    kernels._two(np.multiply, (a[:99], 2.0, out[:99]), (a[99:], 2.0, out[99:]))
     assert np.array_equal(out, 2.0 * a)
     refs = weakref.ref(a), weakref.ref(out)
     del a, out
     gc.collect()
     assert [r() for r in refs] == [None, None]
-    assert kernels._worker.job is None
+    assert kernels._worker.job is None and kernels._worker.result is None
 
 
 def test_a_thread_that_finds_the_worker_busy_runs_its_pass_itself(monkeypatch):
@@ -334,7 +379,7 @@ def test_a_thread_that_finds_the_worker_busy_runs_its_pass_itself(monkeypatch):
 def test_threads_that_share_the_worker_get_the_serial_bits(monkeypatch):
     _split_now(monkeypatch)
     grid, g, m = _state_problem(7)
-    _passes(monkeypatch, False)
+    _passes(monkeypatch, True, worker=False)
     expected = solve_semilinear(grid, g, m)[0].values.tobytes()
     _split_now(monkeypatch)
     got = []
@@ -360,6 +405,10 @@ def test_threads_that_share_the_worker_get_the_serial_bits(monkeypatch):
 
 def _solve_47():
     return solve_semilinear(*_state_problem(47))[0].values
+
+
+def _solves():
+    return np.concatenate([solve_semilinear(*_state_problem(n))[0].values for n in (38, 47, 63)])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -395,15 +444,16 @@ cpus = sorted(os.sched_getaffinity(0))
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {cpus[0]})
 import hashlib
-from test_kernels import _solve_47
+from test_kernels import _solves
 threads = threading.active_count()
-u = _solve_47()
+u = _solves()
 print(hashlib.sha256(u.tobytes()).hexdigest(), threads, threading.active_count())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_one_cpu_runs_every_pass_serially_to_the_same_bits():
+    # with one BLAS thread, 3-D n = 38, 47 and 63 solves: cut on both, the worker on two CPUs
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [os.path.dirname(__file__)] + sys.path))
     runs = {}
@@ -444,14 +494,14 @@ def test_only_large_3d_grids_on_two_cpus_with_one_blas_thread_split(monkeypatch)
     least = kernels.SPLIT_MIN
     monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", True)
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
-    assert kernels.runner(3, least) is kernels._halves
+    assert kernels.runner(3, least) is kernels._two
     assert kernels.runner(3, least - 1) is None
     assert kernels.runner(2, 10 * least) is None
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
-    assert kernels.runner(3, least) is None
+    assert kernels.runner(3, least) is kernels._in_turn
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
     monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", False)
-    assert kernels.runner(3, least) is None
+    assert kernels.runner(3, least) is kernels._in_turn
 
 
 @pytest.mark.parametrize("blas_env, one", [({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True),

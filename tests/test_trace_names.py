@@ -4,9 +4,11 @@
 calls them, so a renamed or unused-looking import removed from a caller
 breaks traced benchmark runs without failing any other test.
 """
+import functools
 import importlib
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,39 @@ def test_optimize_solves_through_the_names_the_tracer_counts(monkeypatch):
     assert len(res.history) > 1
     assert counts["_solve_shifted"] == len(res.history)
     assert counts["solve_semilinear"] >= len(res.history)
+
+
+def test_only_the_calling_thread_runs_a_traced_name_in_a_split_solve(tracing, monkeypatch):
+    # the tracer keeps one span stack, so a wrapped name entered on the worker would
+    # corrupt it; every 3-D grid is cut here, with the high half on the worker
+    kernels = measopt.kernels
+    if kernels._cpu_count() < 2:
+        pytest.skip("one CPU: no worker runs")
+    monkeypatch.setattr(kernels, "SPLIT_MIN", 0)
+    monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", True)
+    monkeypatch.setattr(kernels, "grid_plan", functools.lru_cache(kernels.grid_plan.__wrapped__))
+    threads = {}
+
+    def recorded(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    for span, home, attr, callers in tracing.WRAPPED_FUNCTIONS:
+        original = getattr(_module(home), attr)
+        for caller in callers:
+            monkeypatch.setattr(_module(caller), attr, recorded(attr, original))
+    cls = measopt.nonlinearity.Nonlinearity
+    for _, method in tracing.NONLINEARITY_METHODS:
+        monkeypatch.setattr(cls, method, recorded(method, getattr(cls, method)))
+    grid = measopt.build_grid(3, 9)
+    prob = measopt.ControlProblem(grid, cls.power(3.0),
+                                  measopt.named_field(grid, "sines", {"amplitude": 0.5}),
+                                  2.0, 0.05)
+    measopt.optimize(prob, measopt.OptimizeConfig(max_iter=2))
+    assert kernels._worker is not None and kernels._worker.is_alive()
+    assert {"solve_semilinear", "_solve_shifted", "cg_shifted", "neg_laplacian",
+            "neg_laplacian_numpy", "rasterize", "__call__", "derivative"} <= set(threads)
+    assert set().union(*threads.values()) == {threading.get_ident()}
