@@ -35,19 +35,19 @@ and padded copies rather than arithmetic: against a zero-padded real FFT
 per axis with one BLAS thread it was 1.7-6.7x faster in 2-D for
 n = 17..255 and 1.3-8.5x in 3-D for n = 15..191, tying at 2-D n = 511.
 
-From SPLIT_MIN nodes of a 3-D grid (n >= 38) every full-grid pass of a
-solve (transform products, stencil, g and g', vector updates) runs as
-two halves cut at row n // 2 of axis 0 (``_halves``), each returning
-its pass's partial sums, which add low + high.  The grid alone fixes the
-sums' order and a product is cut on OpenBLAS's DGEMM tiles, so the bytes
-do not depend on where the high half runs: on one daemon worker, which
-calls no name a tracer may wrap, with one BLAS thread and two CPUs or
-more, else after the low half.  A threaded BLAS cuts its products its
-own way and already spreads them over both cores, so without
-OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) = 1 the worker stays idle.
-Split, one transform took 0.55-0.71 of its whole time at n = 63 (in four
-runs of five) and 0.68-0.89 at n = 47, but 1.4-2.1 times it at n = 31,
-where the 30 us hand-off loses (BENCH_30_two_core.json).
+From SPLIT_MIN nodes of a 3-D grid (n >= 38) a solve's full-grid work runs
+as jobs in two halves cut at row n // 2 of axis 0 (``_halves``), whose partial
+sums add low + high.  The stencil, whole or cut, is ``_rows``: one subtraction
+per neighbour over the flat nodes, per slab for the middle axis and masked at
+the row ends for the last.  A cut ``sine_solve`` is five jobs; their last-axis
+products are one n x n product per axis-0 slab, which rounds like the whole
+path's tall product except where n = 1..4 (mod 8), and the leading axis is cut
+on OpenBLAS's DGEMM tiles.  The grid alone fixes the bytes: the high half runs
+on one daemon worker, which calls no name a tracer may wrap, with one BLAS
+thread and two CPUs or more, else after the low half.  A threaded BLAS spreads
+each product over both cores already, so without OPENBLAS_NUM_THREADS (or
+OMP_NUM_THREADS) = 1 the worker stays idle.  A state solve of one Newton step
+and two CG iterations hands the worker 35 jobs.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ import numpy as np
 HAVE_NUMBA = False  # no numba backend; perfbench records this flag
 FLOOR_C = 8.0  # safety factor of the rounding floor; stalls sit near 1x
 SPLIT_MIN = 54_000  # nodes of a 3-D grid from which a full-grid pass runs on two threads
-TILE = 24  # a product is cut at a multiple of this many rows or columns
+TILE = 24  # a leading-axis product is cut at a multiple of this many columns
 # OpenBLAS reads its thread count as numpy loads it
 ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
 
@@ -79,7 +79,8 @@ class Plan(NamedTuple):
     inv_h2: float    # 1/h^2, the stencil's scale
     sine: np.ndarray   # S[j, k] = sqrt(2/(n+1)) sin(pi jk/(n+1)), read-only
     eig: np.ndarray    # the eigenvalues of -Lap_h on the sine modes, flat, read-only
-    slices: tuple      # per axis (lo, hi), then (hi, lo): out[lo] -= a[hi]
+    axes: tuple        # per axis the stride s of the flat nodes: a node's neighbours are i +- s
+    mask: np.ndarray   # mask[i]: node i + 1 is i's neighbour along the last axis, read-only
     passes: tuple      # the shape of each transform pass: last axis first
     two: object        # None (passes run whole) or ``runner``'s way to run a cut pass's halves
     run: object        # run(fn, *args) makes fn(*args) a pass: whole, or ``_halves``
@@ -97,17 +98,13 @@ def grid_plan(dim: int, n: int) -> Plan:
     eig = np.zeros((n,) * dim)
     for ax in range(dim):
         eig = eig + lam1.reshape((n,) + (1,) * (dim - 1 - ax))
-    sine.flags.writeable = eig.flags.writeable = False  # and so is eig's flat view
-    lo, hi = slice(0, n - 1), slice(1, n)
-    slices = []
-    for ax in range(dim):
-        pre, post = (slice(None),) * ax, (slice(None),) * (dim - 1 - ax)
-        below, above = pre + (lo,) + post, pre + (hi,) + post
-        slices += [(below, above), (above, below)]
+    mask = np.tile(np.arange(n) < n - 1, n ** (dim - 1))  # node i has i + 1 on its row
+    sine.flags.writeable = eig.flags.writeable = mask.flags.writeable = False
     passes = ((n ** (dim - 1), n),) + tuple((n ** ax, n, n ** (dim - 1 - ax))
                                             for ax in range(dim - 1))
     two = runner(dim, n ** dim)
-    return Plan(h, h ** dim, 1.0 / (h * h), sine, eig.reshape(-1), tuple(slices), passes, two,
+    return Plan(h, h ** dim, 1.0 / (h * h), sine, eig.reshape(-1),
+                tuple(n ** (dim - 1 - ax) for ax in range(dim)), mask, passes, two,
                 _call if two is None else functools.partial(_halves, two, n // 2 * n ** (dim - 1)))
 
 
@@ -199,31 +196,36 @@ def neg_laplacian_numpy(u, dim: int, n: int, out=None):
     Written into the flat array ``out`` when given, which must not be u.
     """
     plan = grid_plan(dim, n)
-    a = u.reshape((n,) * dim)
     if out is None:
         out = np.empty(u.size)
     if plan.two:
-        res = out.reshape(a.shape)
-        plan.two(_slab, (a, res, 0, n // 2, plan), (a, res, n // 2, n, plan))
-        return out
-    res = np.multiply(a, 2.0 * dim, out=out.reshape(a.shape))
-    for lo, hi in plan.slices:
-        o = res[lo]  # a view: the subtraction writes into res, with no copy back
-        np.subtract(o, a[hi], out=o)
-    res *= plan.inv_h2
+        cut = n // 2 * n ** (dim - 1)
+        plan.two(_rows, (u, out, 0, cut, plan), (u, out, cut, u.size, plan))
+    else:
+        _rows(u, out, 0, u.size, plan)
     return out
 
 
 neg_laplacian = neg_laplacian_numpy
 
 
-def _slab(a, res, lo, hi, plan: Plan):
-    """Rows lo:hi (along axis 0) of -Lap_h a into res, each node in ``neg_laplacian``'s order."""
-    rows, a_rows = np.multiply(a[lo:hi], 2.0 * a.ndim, out=res[lo:hi]), a[lo:hi]
-    top, bottom = min(hi, a.shape[0] - 1), max(lo, 1)
-    pairs = [(res[lo:top], a[lo + 1:top + 1]), (res[bottom:hi], a[bottom - 1:hi - 1])]
-    for o, b in pairs + [(rows[below], a_rows[above]) for below, above in plan.slices[2:]]:
-        np.subtract(o, b, out=o)
+def _rows(u, out, lo, hi, plan: Plan):
+    """Nodes lo:hi (whole rows of axis 0) of -Lap_h u into out, in ``neg_laplacian``'s order:
+    per axis the upper, then the lower neighbour, one subtraction over the nodes that have it."""
+    rows = np.multiply(u[lo:hi], 2.0 * len(plan.axes), out=out[lo:hi])
+    for ax, s in enumerate(plan.axes):
+        top, bottom = min(hi, u.size - s), max(lo, s)  # out[:top] has i + s, out[bottom:] i - s
+        up, down = out[lo:top], out[bottom:hi]
+        if ax == 0:  # no node in range lacks it; where=True would take a slower masked loop
+            np.subtract(up, u[lo + s:top + s], out=up)
+            np.subtract(down, u[bottom - s:hi - s], out=down)
+        elif s > 1:  # the middle axis, slab by slab: a slab's rows but the last, or the first
+            o, a = (v[lo:hi].reshape(-1, len(plan.sine) * s) for v in (out, u))
+            np.subtract(o[:, :-s], a[:, s:], out=o[:, :-s])
+            np.subtract(o[:, s:], a[:, :-s], out=o[:, s:])
+        else:  # the last axis, masked at the ends of each row
+            np.subtract(up, u[lo + 1:top + 1], out=up, where=plan.mask[lo:top])
+            np.subtract(down, u[bottom - 1:hi - 1], out=down, where=plan.mask[bottom - 1:hi - 1])
     rows *= plan.inv_h2
 
 
@@ -248,39 +250,55 @@ def _sine_transform(a, plan: Plan, out, tmp):
     return out
 
 
-def _transform_halves(a, plan: Plan, out, tmp):
-    """``_sine_transform`` on a 3-D grid, each product cut in two at (axis, k): the last
-    axis's by rows and the leading axis's by columns at a multiple of TILE, the middle
-    axis's by batch."""
-    s, n = plan.sine, len(plan.sine)
-    half = n * n // 2 // TILE * TILE
-    for i, (x, y, axis, k) in enumerate(((a, out, 0, half), (out, tmp, 2, half),
-                                         (tmp, out, 0, n // 2))):
-        x, y = x.reshape(plan.passes[i]), y.reshape(plan.passes[i])
-        lo, hi = ((slice(None),) * axis + (part,) for part in (slice(0, k), slice(k, None)))
-        plan.two(np.matmul, *((x[c], s, y[c]) if i == 0 else (s, x[c], y[c]) for c in (lo, hi)))
-    return out
-
-
 def inverse_eigenvalues(dim: int, n: int, c: float) -> np.ndarray:
     """(lam + c)^-1 for the eigenvalues lam of -Lap_h, flat; a fresh array."""
     plan = grid_plan(dim, n)
     inv_eig = np.empty(plan.eig.size)
-    plan.run(np.add, plan.eig, c, inv_eig)
-    plan.run(np.divide, 1.0, inv_eig, inv_eig)
+    plan.run(_inverse, plan.eig, c, inv_eig)
     return inv_eig
+
+
+def _inverse(eig, c, out):
+    np.divide(1.0, np.add(eig, c, out=out), out=out)
 
 
 def sine_solve(b, inv_eig, dim: int, n: int, out, mid, tmp):
     """out = S(inv_eig * S b) = (-Lap_h + c I)^-1 b for ``inverse_eigenvalues(dim, n, c)``.
 
-    ``out``, ``mid`` (the first transform) and ``tmp`` are flat, disjoint from b and each other.
+    ``out``, ``mid`` and ``tmp`` are flat, disjoint from b and each other.  A cut grid runs
+    five jobs in halves, each axis in ``_sine_transform``'s order: the last axis, the
+    leading one, then the middle axis, the scaling and the inverse's last axis in one job.
     """
     plan = grid_plan(dim, n)
-    transform = _transform_halves if plan.two else _sine_transform
-    transform(b, plan, mid, tmp)
-    plan.run(np.multiply, mid, inv_eig, mid)
-    return transform(mid, plan, out, tmp)
+    if plan.two is None:
+        _sine_transform(b, plan, mid, tmp)
+        np.multiply(mid, inv_eig, out=mid)
+        return _sine_transform(mid, plan, out, tmp)
+    plan.run(_last, b, tmp, plan)
+    _leading(tmp, mid, plan)
+    plan.run(_scaled, mid, inv_eig, tmp, plan)
+    _leading(mid, tmp, plan)
+    plan.run(_middle, tmp, out, plan)
+    return out
+
+
+def _last(a, out, plan: Plan):  # out = a S on flat axis-0 slabs, one n x n product per slab
+    np.matmul(a.reshape(-1, *plan.sine.shape), plan.sine, out=out.reshape(-1, *plan.sine.shape))
+
+
+def _middle(a, out, plan: Plan):  # out = S a, one product per slab
+    np.matmul(plan.sine, a.reshape(-1, *plan.sine.shape), out=out.reshape(-1, *plan.sine.shape))
+
+
+def _scaled(a, inv_eig, tmp, plan: Plan):  # a = (inv_eig * S a) S, slab by slab
+    _middle(a, tmp, plan)
+    _last(np.multiply(tmp, inv_eig, out=tmp), a, plan)
+
+
+def _leading(a, out, plan: Plan):  # out = S a along axis 0, in column halves cut on DGEMM tiles
+    s, n = plan.sine, len(plan.sine)
+    a, out, cols = a.reshape(n, n * n), out.reshape(n, n * n), n * n // 2 // TILE * TILE
+    plan.two(np.matmul, (s, a[:, :cols], out[:, :cols]), (s, a[:, cols:], out[:, cols:]))
 
 
 def rounding_floor(b, x, fx, dim: int, n: int, out) -> float:

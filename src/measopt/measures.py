@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import count, real
-from .grid import Grid, ScalarField, _lp
+from .grid import Grid, ScalarField, _lp, _owned_field
 
 
 def _validate_location(x, dim: int) -> tuple:
@@ -105,15 +105,17 @@ def rasterize(m: DiscreteMeasure, grid: Grid) -> ScalarField:
     """
     if m.dim != grid.dim:
         raise ValueError("invalid measure: dimension does not match grid")
-    vals = np.zeros(grid.total_interior)
-    if m.density is not None:
-        if m.density.grid != grid:
-            raise ValueError("invalid measure: density lives on a different grid")
-        vals += m.density.values
+    if m.density is not None and m.density.grid != grid:
+        raise ValueError("invalid measure: density lives on a different grid")
+    # a fresh array, with any -0.0 of the density as +0.0
+    vals = np.zeros(grid.total_interior) if m.density is None else m.density.values + 0.0
     w_scale = 1.0 / grid.cell_volume
-    for loc, w in m.atoms:
-        vals[grid.flat_index(grid.nearest_index(loc))] += w * w_scale
-    return ScalarField(grid, vals)
+    nodes = [grid.flat_index(grid.nearest_index(loc)) for loc, _ in m.atoms]
+    for node, (_, w) in zip(nodes, m.atoms):
+        vals[node] += w * w_scale
+    if not np.isfinite(vals[nodes]).all():  # the density is finite: only atoms can overflow
+        raise ValueError(f"invalid measure: w/h^{grid.dim} of an atom is not finite on this grid")
+    return _owned_field(grid, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -216,12 +216,9 @@ def _kernel_outputs(dim, n, seed):
     b = rng.standard_normal(size)
     diag = rng.uniform(0.0, 10.0 ** rng.uniform(-2, 3), size)
     c = float(rng.uniform(0.0, 100.0))
-    plan = kernels.grid_plan(dim, n)  # the plan of the policy in force
-    transform = kernels._transform_halves if plan.two else _sine_transform
     grid = build_grid(dim, n)
     g = Nonlinearity.power(3.0)
     outputs = [neg_laplacian(b, dim, n).tobytes(),
-               transform(b, plan, np.empty(size), np.empty(size)).tobytes(),
                inverse_eigenvalues(dim, n, c).tobytes(),
                sine_solve(b, inverse_eigenvalues(dim, n, c), dim, n,
                           *np.empty((3, size))).tobytes(),
@@ -271,6 +268,8 @@ def _passes(monkeypatch, split, worker=True):
 
 
 def test_a_split_grid_runs_each_node_by_node_phase_in_halves(monkeypatch):
+    # and hands the worker exactly 35 jobs in a state solve of one Newton step and two
+    # CG iterations
     phases = []
 
     def recording(two):
@@ -283,13 +282,14 @@ def test_a_split_grid_runs_each_node_by_node_phase_in_halves(monkeypatch):
         monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
     _split_now(monkeypatch, skip=False)
     grid, g, m = _state_problem(7)
-    solve_semilinear(grid, g, m)
+    report = solve_semilinear(grid, g, m)[1]
+    assert (report.iterations, report.inner_iterations, len(phases)) == (1, 2, 35)
     prob = ControlProblem(grid, g, ScalarField(grid, np.full(grid.total_interior, 0.1)), 2.0, 0.1)
     adjoint_gradient(prob, m)
-    # np.matmul (the transform) and operator.matmul (CG's r z) share a name
-    assert {"_slab", "matmul", "multiply", "add", "divide", "_floor_sums",  # kernels
-            "sum", "_cg_start", "_cg_ap", "_cg_step", "_cg_directions", "_cg_residual",
-            "_residual", "_clamped", "_trial", "_take"} == set(phases)  # solver
+    # np.matmul (the leading axis) and operator.matmul (CG's r z) share a name
+    assert {"_rows", "_last", "matmul", "_scaled", "_middle", "_inverse",  # kernels
+            "_floor_sums", "sum", "_cg_start", "_cg_ap", "_cg_step", "_cg_directions",
+            "_cg_residual", "_residual", "_clamped", "_trial", "_take"} == set(phases)  # solver
 
 
 def test_a_negative_derivative_in_either_half_is_caught(monkeypatch):
@@ -467,27 +467,37 @@ def test_one_cpu_runs_every_pass_serially_to_the_same_bits():
 
 
 _CUTS = """
+import functools
 import numpy as np
 from measopt import kernels
-for dim, n in [(3, 38), (3, 47), (3, 55), (3, 63)]:
+split_min = kernels.SPLIT_MIN
+for n in (38, 41, 47, 49, 55, 57, 63):
     rng = np.random.default_rng(n)
-    a = rng.standard_normal(n ** dim) * 10.0 ** rng.integers(-5, 5, n ** dim)
-    assert a.size >= kernels.SPLIT_MIN
-    split, serial = (transform(a, kernels.grid_plan(dim, n), np.empty(a.size),
-                               np.empty(a.size)).tobytes()
-                     for transform in (kernels._transform_halves, kernels._sine_transform))
-    print(dim, n, split == serial)
+    b = rng.standard_normal(n ** 3) * 10.0 ** rng.integers(-5, 5, n ** 3)
+    assert b.size >= split_min
+    solves = []
+    for least in (split_min, 10 ** 9):  # split, then whole
+        kernels.SPLIT_MIN = least
+        kernels.grid_plan = functools.lru_cache(kernels.grid_plan.__wrapped__)
+        inv_eig = kernels.inverse_eigenvalues(3, n, float(n))
+        solves.append(kernels.sine_solve(b, inv_eig, 3, n, *np.empty((3, b.size))))
+    split, whole = solves
+    print(n, split.tobytes() == whole.tobytes(), np.abs(split - whole).max() / np.abs(whole).max())
 """
 
 
 def test_the_transform_cuts_keep_the_bits_of_the_whole_products():
-    # 3-D grids from SPLIT_MIN nodes up, with one BLAS thread; a cut off the
-    # BLAS kernel's tiles changes the rounding of the products at 3-D n = 47
+    # a split sine_solve against the whole one, 3-D grids from SPLIT_MIN nodes up, with one
+    # BLAS thread.  The split takes the last axis as one n x n product per slab, which
+    # rounds like the whole path's one tall product except where n = 1..4 (mod 8), n > 16
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _CUTS], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert [line.split()[-1] for line in proc.stdout.splitlines()] == ["True"] * 4
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [(int(n), same == "True") for n, same, _ in rows] == [
+        (38, True), (41, False), (47, True), (49, False), (55, True), (57, False), (63, True)]
+    assert max(float(gap) for _, _, gap in rows) < 1e-15
 
 
 def test_only_large_3d_grids_on_two_cpus_with_one_blas_thread_split(monkeypatch):

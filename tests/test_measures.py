@@ -102,6 +102,20 @@ def test_rasterize_preserves_mass_and_cancels():
         rasterize(DiscreteMeasure.point((0.5,), 1.0), g)
 
 
+def test_rasterize_returns_a_fresh_read_only_field_and_rejects_an_overflowing_atom():
+    g = build_grid(2, 3)
+    dens = ScalarField(g, np.r_[-0.0, 1.0, np.zeros(7)])
+    f = rasterize(DiscreteMeasure(2, atoms=(((0.5, 0.5), 1.0),), density=dens), g)
+    assert not np.signbit(f.values[0]) and f.values[1] == 1.0 and f.values[4] == 16.0
+    assert not f.values.flags.writeable and not np.shares_memory(f.values, dens.values)
+    # w / h^dim overflows alone, or on top of the density at its node
+    for m in (DiscreteMeasure.point((0.5, 0.5), 1e308),
+              DiscreteMeasure(2, atoms=(((0.25, 0.5), 1e307),),
+                              density=ScalarField(g, np.full(9, 1.7e308)))):
+        with pytest.raises(ValueError, match="invalid measure: w/h"), np.errstate(over="ignore"):
+            rasterize(m, g)
+
+
 def test_weak_star_pairing():
     g = build_grid(2, 7)
     one = constant_field(g, 1.0)

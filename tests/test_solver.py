@@ -146,9 +146,18 @@ def _padded_stencil(a, inv_h2):
 @given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 def test_stencil_matches_zero_padded_formula_bitwise(dim, n, seed):
     a = np.random.default_rng(seed).standard_normal((n,) * dim)
-    inv_h2 = 1.0 / build_grid(dim, n).h ** 2
-    out = measopt.kernels.neg_laplacian(a.reshape(-1), dim, n)
-    assert np.array_equal(out, _padded_stencil(a, inv_h2).reshape(-1))
+    expected = _padded_stencil(a, 1.0 / build_grid(dim, n).h ** 2).reshape(-1)
+    kernels = measopt.kernels
+    assert np.array_equal(kernels.neg_laplacian(a.reshape(-1), dim, n), expected)
+    # every 3-D grid cut at row n // 2 of axis 0, its high half on the worker or not: the
+    # rows on either side of the cut read their neighbours across it
+    for worker in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "SPLIT_MIN", 0)
+            mp.setattr(kernels, "ONE_BLAS_THREAD", worker)
+            mp.setattr(kernels, "grid_plan", functools.lru_cache(kernels.grid_plan.__wrapped__))
+            assert (kernels.grid_plan(dim, n).two is not None) == (dim == 3)
+            assert np.array_equal(kernels.neg_laplacian(a.reshape(-1), dim, n), expected)
 
 
 def test_cg_applies_the_stencil_only_in_the_true_residual_check(monkeypatch):
