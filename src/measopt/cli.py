@@ -98,10 +98,11 @@ def _load_doc(path) -> dict:
     return doc
 
 
-# the keys some command reads: at the top level, and in the grid and measure sections
+# the keys some command reads, per section; beside a file it reads no other key of the field
 _KNOWN_KEYS = {"the problem file": {"schema", "grid", "g", "p", "alpha", "u_d", "measure", "tol",
                                     "optimizer"},
-               "grid": {"dim", "n"}, "measure": {"atoms", "density_file", "density"}}
+               "grid": {"dim", "n"}, "measure": {"atoms", "density_file", "density"},
+               "a measure with density_file": {"atoms", "density_file"}, "a file field": {"file"}}
 
 
 def _known(doc: dict, where: str) -> dict:
@@ -118,7 +119,7 @@ def _section(doc: dict, key: str, default=None) -> dict:
 
 def _parse_field(doc, grid, base: Path):
     if "file" in doc:
-        f = load_field(base / doc["file"])
+        f = load_field(base / _known(doc, "a file field")["file"])
         if f.grid != grid:
             raise ValueError("field file grid does not match the problem grid")
         return f
@@ -150,7 +151,8 @@ def _problem_parts(path):
     base = Path(path).parent
     doc = _known(_load_doc(path), "the problem file")
     grid_doc = _known(_section(doc, "grid"), "grid")
-    _known(_section(doc, "measure", {}), "measure")
+    measure = _section(doc, "measure", {})
+    _known(measure, "a measure with density_file" if "density_file" in measure else "measure")
     grid = build_grid(grid_doc.get("dim"), grid_doc.get("n"))
     g = nonlinearity_from_config(_section(doc, "g"))
     return doc, grid, g, base

@@ -43,14 +43,18 @@ the row ends for the last.  A cut ``sine_solve`` is five jobs; their last-axis
 products are one n x n product per axis-0 slab, which rounds like the whole
 path's tall product except where n = 1..4 (mod 8), and the leading axis is cut
 on OpenBLAS's DGEMM tiles.  The grid alone fixes the bytes: the high half runs
-on one daemon worker, which calls no name a tracer may wrap, with one BLAS
-thread and two CPUs or more, else after the low half.  A threaded BLAS spreads
-each product over both cores already, so without OPENBLAS_NUM_THREADS (or
-OMP_NUM_THREADS) = 1 the worker stays idle.  A state solve of one Newton step
-and two CG iterations hands the worker 35 jobs.
+on one daemon worker, which calls no name a tracer may wrap, on two CPUs or
+more, else after the low half.  A state solve of one Newton step and two CG
+iterations hands the worker 35 jobs.  Importing measopt sets numpy's OpenBLAS
+to one thread for good, for the whole process and its user threads: a threaded
+BLAS cuts each product its own way, so its sums would depend on the thread
+count (Demmel and Nguyen, ARITH 21, 2013), and a restore would race with a
+solve on another thread.  A BLAS with no such setter (MKL, Accelerate) keeps
+its own threads, and every pass runs whole or in turn.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -64,8 +68,12 @@ HAVE_NUMBA = False  # no numba backend; perfbench records this flag
 FLOOR_C = 8.0  # safety factor of the rounding floor; stalls sit near 1x
 SPLIT_MIN = 54_000  # nodes of a 3-D grid from which a full-grid pass runs on two threads
 TILE = 24  # a leading-axis product is cut at a multiple of this many columns
-# OpenBLAS reads its thread count as numpy loads it
-ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
+_blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # numpy's BLAS, set to one thread
+_set_threads = (getattr(_blas, "scipy_openblas_set_num_threads64_", None)  # numpy 2.x
+                or getattr(_blas, "openblas_set_num_threads64_", None))  # numpy 1.x
+if _set_threads:
+    _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
+    _set_threads(1)
 
 
 def backend_name() -> str:
@@ -157,11 +165,11 @@ _cpu_count = ((lambda: len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaf
 def runner(dim: int, size: int):
     """How the full-grid passes over ``size`` nodes of a dim-D grid run: whole (None) outside
     3-D or below SPLIT_MIN nodes; else in two halves, the high one on the worker (``_two``)
-    with one BLAS thread and two CPUs, or else after the low one (``_in_turn``), to the
+    on two CPUs with BLAS on one thread, or else after the low one (``_in_turn``), to the
     same bytes.  ``grid_plan`` asks once per grid."""
     if dim != 3 or size < SPLIT_MIN:
         return None
-    return _two if ONE_BLAS_THREAD and _cpu_count() > 1 else _in_turn
+    return _two if _set_threads and _cpu_count() > 1 else _in_turn
 
 
 def _two(fn, lo, hi):

@@ -579,11 +579,17 @@ def test_problem_file_rejects_bad_field_or_g_numbers(tmp_path, capsys, command, 
     ("optimize", dict(PROBLEM, grid={"dim": 2, "n": 9, "size": 9}), "size"),
     ("solve", dict(PROBLEM, measure={"atom": [{"x": [0.5, 0.5], "w": 1.0}]}), "atom"),
     ("optimize", dict(PROBLEM, measure={"densty": {"name": "zero"}}), "densty"),
+    ("optimize", dict(PROBLEM, u_d={"file": "u.f64", "name": "sines", "amplitude": 5}),
+     "amplitude"),
+    ("optimize", dict(PROBLEM, u_d={"file": "u.f64", "bogus": 1}), "bogus"),
+    ("solve", dict(PROBLEM, measure={"density": {"file": "u.f64", "amplitude": 3}}), "amplitude"),
+    ("solve", dict(PROBLEM, measure={"density_file": "u.f64", "density": {}}), "density"),
 ], ids=["top-tolerance", "top-optimiser", "grid-h", "grid-size", "measure-atom",
-        "measure-densty"])
+        "measure-densty", "u_d-file-name", "u_d-file-bogus", "density-file", "density-twice"])
 def test_a_key_no_command_reads_exits_two_and_names_it(tmp_path, capsys, command, doc, key):
     # a misspelt key would otherwise be dropped: "atom" solved the zero measure, and
-    # "tolerance" kept tol at 1e-10
+    # "tolerance" kept tol at 1e-10; beside a file, every other key was ignored
+    save_field(constant_field(build_grid(2, 9), 1.0), tmp_path / "u.f64")
     path = _write_problem(tmp_path, doc)
     assert run_cli([command, str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err

@@ -259,11 +259,11 @@ def test_every_split_pass_matches_the_serial_pass_bitwise(dim, n, seed):
 
 
 def _passes(monkeypatch, split, worker=True):
-    """Every 3-D grid's passes cut (from 0 nodes) or whole, the high half on the worker (as
-    with one BLAS thread) or not, on plans built afresh: a plan keeps the choice it was
+    """Every 3-D grid's passes cut (from 0 nodes) or whole, the high half on the worker (on
+    two CPUs) or not (as on one), on plans built afresh: a plan keeps the choice it was
     built with."""
     monkeypatch.setattr(kernels, "SPLIT_MIN", 0 if split else 10 ** 9)
-    monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", worker)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2 if worker and TWO_CPUS else 1)
     monkeypatch.setattr(kernels, "grid_plan", functools.lru_cache(kernels.grid_plan.__wrapped__))
 
 
@@ -407,10 +407,6 @@ def _solve_47():
     return solve_semilinear(*_state_problem(47))[0].values
 
 
-def _solves():
-    return np.concatenate([solve_semilinear(*_state_problem(n))[0].values for n in (38, 47, 63)])
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_solves_without_its_parents_worker(monkeypatch):
     # the child inherits the worker object but not its thread; handing it
@@ -438,71 +434,30 @@ def test_a_forked_child_solves_without_its_parents_worker(monkeypatch):
     assert got == expected
 
 
-_ONE_CPU_SOLVE = """
-import os, sys, threading
-cpus = sorted(os.sched_getaffinity(0))
-if sys.argv[1] == "one":
-    os.sched_setaffinity(0, {cpus[0]})
-import hashlib
-from test_kernels import _solves
-threads = threading.active_count()
-u = _solves()
-print(hashlib.sha256(u.tobytes()).hexdigest(), threads, threading.active_count())
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_one_cpu_runs_every_pass_serially_to_the_same_bits():
-    # with one BLAS thread, 3-D n = 38, 47 and 63 solves: cut on both, the worker on two CPUs
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(__file__)] + sys.path))
-    runs = {}
-    for cpus in ("one", "all"):
-        proc = subprocess.run([sys.executable, "-c", _ONE_CPU_SOLVE, cpus], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        digest, before, after = proc.stdout.split()
-        runs[cpus] = digest, int(after) - int(before)
-    assert runs["one"] == (runs["all"][0], 0)
-    assert runs["all"][1] == (1 if TWO_CPUS else 0)
-
-
-_CUTS = """
-import functools
-import numpy as np
-from measopt import kernels
-split_min = kernels.SPLIT_MIN
-for n in (38, 41, 47, 49, 55, 57, 63):
-    rng = np.random.default_rng(n)
-    b = rng.standard_normal(n ** 3) * 10.0 ** rng.integers(-5, 5, n ** 3)
-    assert b.size >= split_min
-    solves = []
-    for least in (split_min, 10 ** 9):  # split, then whole
-        kernels.SPLIT_MIN = least
-        kernels.grid_plan = functools.lru_cache(kernels.grid_plan.__wrapped__)
-        inv_eig = kernels.inverse_eigenvalues(3, n, float(n))
-        solves.append(kernels.sine_solve(b, inv_eig, 3, n, *np.empty((3, b.size))))
-    split, whole = solves
-    print(n, split.tobytes() == whole.tobytes(), np.abs(split - whole).max() / np.abs(whole).max())
-"""
-
-
-def test_the_transform_cuts_keep_the_bits_of_the_whole_products():
-    # a split sine_solve against the whole one, 3-D grids from SPLIT_MIN nodes up, with one
-    # BLAS thread.  The split takes the last axis as one n x n product per slab, which
-    # rounds like the whole path's one tall product except where n = 1..4 (mod 8), n > 16
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", _CUTS], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [(int(n), same == "True") for n, same, _ in rows] == [
+def test_the_transform_cuts_keep_the_bits_of_the_whole_products(monkeypatch):
+    # a split sine_solve against the whole one, 3-D grids from SPLIT_MIN nodes up.  The split
+    # takes the last axis as one n x n product per slab, which rounds like the whole path's
+    # one tall product except where n = 1..4 (mod 8), n > 16
+    rows, least = [], kernels.SPLIT_MIN
+    for n in (38, 41, 47, 49, 55, 57, 63):
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(n ** 3) * 10.0 ** rng.integers(-5, 5, n ** 3)
+        assert b.size >= least
+        got = []
+        for cut in (True, False):
+            _passes(monkeypatch, cut)
+            got.append(sine_solve(b, inverse_eigenvalues(3, n, n), 3, n, *np.empty((3, b.size))))
+        split, whole = got
+        rows.append((n, split.tobytes() == whole.tobytes(),
+                     np.abs(split - whole).max() / np.abs(whole).max()))
+    assert [row[:2] for row in rows] == [
         (38, True), (41, False), (47, True), (49, False), (55, True), (57, False), (63, True)]
-    assert max(float(gap) for _, _, gap in rows) < 1e-15
+    assert max(row[2] for row in rows) < 1e-15
 
 
 def test_only_large_3d_grids_on_two_cpus_with_one_blas_thread_split(monkeypatch):
     least = kernels.SPLIT_MIN
-    monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", True)
+    assert kernels._set_threads  # numpy's OpenBLAS, set to one thread as measopt loads
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
     assert kernels.runner(3, least) is kernels._two
     assert kernels.runner(3, least - 1) is None
@@ -510,20 +465,59 @@ def test_only_large_3d_grids_on_two_cpus_with_one_blas_thread_split(monkeypatch)
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
     assert kernels.runner(3, least) is kernels._in_turn
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(kernels, "ONE_BLAS_THREAD", False)
+    monkeypatch.setattr(kernels, "_set_threads", None)  # a BLAS whose threads measopt can't set
     assert kernels.runner(3, least) is kernels._in_turn
 
 
-@pytest.mark.parametrize("blas_env, one", [({}, False), ({"OPENBLAS_NUM_THREADS": "1"}, True),
-                                           ({"OMP_NUM_THREADS": "1"}, True),
-                                           ({"OPENBLAS_NUM_THREADS": "2",
-                                             "OMP_NUM_THREADS": "1"}, False)])
-def test_blas_counts_as_one_thread_only_when_its_environment_says_so(blas_env, one):
-    # a threaded BLAS cuts each product its own way, and so changes the bits of a cut one
+_SETTINGS = """
+import hashlib, os, sys, threading
+from pathlib import Path
+if sys.argv[1] == "one CPU":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from measopt import (DiscreteMeasure, Nonlinearity, ScalarField, build_grid, run_experiment,
+                     solve_semilinear)
+threads = threading.active_count()
+for n in (38, 47, 63):  # _state_problem(n), without importing the tests' dependencies
+    grid = build_grid(3, n)
+    m = DiscreteMeasure(3, atoms=(((0.3, 0.4, 0.6), 0.08), ((0.7, 0.5, 0.4), -0.06)),
+                        density=ScalarField(grid, 12.0 * np.exp(
+                            -((grid.node_coords() - 0.5) ** 2).sum(axis=1) / 0.02)))
+    u = solve_semilinear(grid, Nonlinearity.power(3.0), m)[0].values
+    print(n, hashlib.sha256(u.tobytes()).hexdigest())
+run_experiment("exp_dirac_collapse", {"levels": [31, 47]}, sys.argv[2], seed=0)
+for path in sorted(Path(sys.argv[2]).rglob("*.*")):
+    print(path.relative_to(sys.argv[2]), hashlib.sha256(path.read_bytes()).hexdigest())
+print("threads started:", threading.active_count() - threads)
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_settings(tmp_path_factory):
+    """Per BLAS setting, in a fresh interpreter: digests of 3-D n = 38, 47 and 63 solves (all
+    cut) and of exp_dirac_collapse's files at levels (31, 47), then the threads started."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs CPU affinity")
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env.update(blas_env, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", "from measopt import kernels; "
-                           "print(kernels.ONE_BLAS_THREAD)"], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.split() == [str(one)]
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out, runs = tmp_path_factory.mktemp("settings"), {}
+    for setting, blas in (("unset", {}), ("1", {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("2", {"OPENBLAS_NUM_THREADS": "2"}), ("one CPU", {})):
+        runs[setting] = subprocess.run(
+            [sys.executable, "-c", _SETTINGS, setting, str(out / setting)], env={**env, **blas},
+            capture_output=True, text=True, timeout=300, check=True).stdout.splitlines()
+    return runs
+
+
+def test_one_cpu_runs_every_pass_serially_to_the_same_bits(blas_settings):
+    assert blas_settings["unset"][-1] == f"threads started: {int(TWO_CPUS)}"
+    assert blas_settings["one CPU"][-1] == "threads started: 0"
+    assert blas_settings["one CPU"][:3] == blas_settings["unset"][:3]
+
+
+def test_no_blas_thread_setting_or_cpu_count_changes_an_output_byte(blas_settings):
+    # a threaded BLAS cuts each product its own way; measopt sets it to one thread itself
+    runs = {setting: lines[:-1] for setting, lines in blas_settings.items()}
+    assert len(runs["unset"]) == 6  # the three solves, the two tables and summary.json
+    assert runs == {setting: runs["unset"] for setting in runs}

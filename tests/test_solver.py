@@ -154,7 +154,7 @@ def test_stencil_matches_zero_padded_formula_bitwise(dim, n, seed):
     for worker in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "SPLIT_MIN", 0)
-            mp.setattr(kernels, "ONE_BLAS_THREAD", worker)
+            mp.setattr(kernels, "_cpu_count", lambda: 2 if worker else 1)
             mp.setattr(kernels, "grid_plan", functools.lru_cache(kernels.grid_plan.__wrapped__))
             assert (kernels.grid_plan(dim, n).two is not None) == (dim == 3)
             assert np.array_equal(kernels.neg_laplacian(a.reshape(-1), dim, n), expected)
