@@ -44,13 +44,18 @@ products are one n x n product per axis-0 slab, which rounds like the whole
 path's tall product except where n = 1..4 (mod 8), and the leading axis is cut
 on OpenBLAS's DGEMM tiles.  The grid alone fixes the bytes: the high half runs
 on one daemon worker, which calls no name a tracer may wrap, on two CPUs or
-more, else after the low half.  A state solve of one Newton step and two CG
-iterations hands the worker 35 jobs.  Importing measopt sets numpy's OpenBLAS
-to one thread for good, for the whole process and its user threads: a threaded
-BLAS cuts each product its own way, so its sums would depend on the thread
-count (Demmel and Nguyen, ARITH 21, 2013), and a restore would race with a
-solve on another thread.  A BLAS with no such setter (MKL, Accelerate) keeps
-its own threads, and every pass runs whole or in turn.
+more, else after the low half.  Where the OS says which CPU a thread is on and
+lets a thread be bound (Linux with glibc), the worker is bound to the CPUs its
+creator may use but the one the creator is on, and bound again whenever a
+hand-off finds its caller on one of them: left to itself, the scheduler wakes
+the worker on its caller's CPU, and the halves take turns.  The caller is
+never bound.  A state solve of one Newton step and two CG iterations hands the
+worker 35 jobs.  Importing measopt sets numpy's OpenBLAS to one thread for
+good, for the whole process and its user threads: a threaded BLAS cuts each
+product its own way, so its sums would depend on the thread count (Demmel and
+Nguyen, ARITH 21, 2013), and a restore would race with a solve on another
+thread.  A BLAS with no such setter (MKL, Accelerate) keeps its own threads,
+and every pass runs whole or in turn.
 """
 from __future__ import annotations
 
@@ -74,6 +79,10 @@ _set_threads = (getattr(_blas, "scipy_openblas_set_num_threads64_", None)  # num
 if _set_threads:
     _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
     _set_threads(1)
+# glibc's sched_getcpu, found through the BLAS's libc, where a thread can be bound (Linux)
+_getcpu = getattr(_blas, "sched_getcpu", None) if hasattr(os, "sched_setaffinity") else None
+if _getcpu:
+    _getcpu.argtypes, _getcpu.restype = [], ctypes.c_int
 
 
 def backend_name() -> str:
@@ -140,7 +149,22 @@ class _Worker(threading.Thread):
         self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
         self.go.acquire(), self.done.acquire()
         self.job = self.result = self.error = None
+        self.cpus = frozenset()  # the CPUs it is bound to; none: unbound
         self.start()
+        if _getcpu:
+            self.allowed = frozenset(os.sched_getaffinity(0))  # its creator's, and so its own
+            self.bind(_getcpu())
+
+    def bind(self, cpu):
+        """Bind this thread to the allowed CPUs but ``cpu``, its caller's.  With no other
+        CPU, or if the OS refuses, leave its CPUs as they are and place it no more."""
+        others = self.allowed - {cpu}
+        try:
+            if others:
+                os.sched_setaffinity(self.native_id, others)
+        except OSError:
+            others = frozenset()
+        self.cpus = others
 
     def run(self):
         while self.go.acquire():
@@ -173,13 +197,15 @@ def runner(dim: int, size: int):
 
 
 def _two(fn, lo, hi):
-    """(fn(*lo) here, fn(*hi) in the worker), whose error is re-raised here; both here, in
-    turn, when another thread holds the worker."""
+    """(fn(*lo) here, fn(*hi) in the worker, kept off this thread's CPU), whose error is
+    re-raised here; both here, in turn, when another thread holds the worker."""
     global _worker
     with _worker_lock:
         worker = _worker = _worker or _Worker()
     if not worker.busy.acquire(blocking=False):
         return _in_turn(fn, lo, hi)
+    if worker.cpus and (cpu := _getcpu()) in worker.cpus:  # the caller moved onto them
+        worker.bind(cpu)
     worker.job = fn, hi
     worker.go.release()
     try:

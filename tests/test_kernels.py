@@ -203,6 +203,7 @@ def test_cg_peak_does_not_grow_with_the_iteration_count():
 # ---------------------------------------------------------------------------
 
 TWO_CPUS = kernels._cpu_count() > 1
+PLACED = TWO_CPUS and bool(kernels._getcpu)  # Linux with glibc: threads can be placed
 
 
 def _digest(a) -> str:
@@ -403,6 +404,54 @@ def test_threads_that_share_the_worker_get_the_serial_bits(monkeypatch):
     assert got == [expected] * 20
 
 
+def _placement():
+    """The caller's CPU and the worker's allowed CPUs, just after a hand-off."""
+    kernels._two(int, (), ())
+    return kernels._getcpu(), os.sched_getaffinity(kernels._worker.native_id)
+
+
+@pytest.mark.skipif(not PLACED, reason="needs two CPUs and thread placement")
+def test_the_worker_leaves_a_cpu_its_caller_moves_to(monkeypatch):
+    _split_now(monkeypatch)
+    cpu, cpus = _placement()
+    assert cpus and cpu not in cpus
+    mask, moved_to = os.sched_getaffinity(0), min(cpus)
+    os.sched_setaffinity(0, {moved_to})
+    try:
+        _solve_47()
+        assert moved_to not in os.sched_getaffinity(kernels._worker.native_id)
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("case", ["the OS refuses", "one CPU"])
+def test_a_worker_that_cannot_be_placed_runs_unbound_to_the_serial_bits(monkeypatch, case):
+    grid, g, m = _state_problem(7)
+    _passes(monkeypatch, True, worker=False)
+    expected = solve_semilinear(grid, g, m)[0].values.tobytes()
+    _passes(monkeypatch, True)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(kernels, "_worker", None)  # a fresh worker, left idle afterwards
+    mask = os.sched_getaffinity(0)
+    if case == "one CPU":
+        os.sched_setaffinity(0, {min(mask)})
+    else:
+        def refuse(*args):
+            raise PermissionError("refused")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    try:
+        creators = os.sched_getaffinity(0)
+        got = solve_semilinear(grid, g, m)[0].values.tobytes()
+        worker = kernels._worker
+        workers = os.sched_getaffinity(worker.native_id)
+    finally:
+        if case == "one CPU":
+            os.sched_setaffinity(0, mask)
+    assert got == expected
+    assert not worker.cpus and workers == creators
+
+
 def _solve_47():
     return solve_semilinear(*_state_problem(47))[0].values
 
@@ -410,7 +459,8 @@ def _solve_47():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_solves_without_its_parents_worker(monkeypatch):
     # the child inherits the worker object but not its thread; handing it
-    # a half would wait forever, so the fork hook drops it
+    # a half would wait forever, so the fork hook drops it.  The child's own
+    # worker is placed away from the child's CPU
     _split_now(monkeypatch, skip=False)
     expected = _digest(_solve_47())
     read_end, write_end = os.pipe()
@@ -419,19 +469,21 @@ def test_a_forked_child_solves_without_its_parents_worker(monkeypatch):
         pid = os.fork()
     if pid == 0:
         try:
-            os.write(write_end, _digest(_solve_47()).encode())
+            digest = _digest(_solve_47())
+            cpu, cpus = _placement() if PLACED else (None, {0})
+            os.write(write_end, f"{digest} {bool(cpus) and cpu not in cpus}".encode())
         finally:
             os._exit(0)
     os.close(write_end)
     try:
         ready, _, _ = select.select([read_end], [], [], 120)
-        got = os.read(read_end, 64).decode() if ready else None
+        got = os.read(read_end, 128).decode() if ready else None
     finally:
         if not ready:
             os.kill(pid, 9)
         os.waitpid(pid, 0)
         os.close(read_end)
-    assert got == expected
+    assert got == f"{expected} True"
 
 
 def test_the_transform_cuts_keep_the_bits_of_the_whole_products(monkeypatch):
@@ -475,8 +527,8 @@ from pathlib import Path
 if sys.argv[1] == "one CPU":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
-from measopt import (DiscreteMeasure, Nonlinearity, ScalarField, build_grid, run_experiment,
-                     solve_semilinear)
+from measopt import (DiscreteMeasure, Nonlinearity, ScalarField, build_grid, kernels,
+                     run_experiment, solve_semilinear)
 threads = threading.active_count()
 for n in (38, 47, 63):  # _state_problem(n), without importing the tests' dependencies
     grid = build_grid(3, n)
@@ -488,6 +540,11 @@ for n in (38, 47, 63):  # _state_problem(n), without importing the tests' depend
 run_experiment("exp_dirac_collapse", {"levels": [31, 47]}, sys.argv[2], seed=0)
 for path in sorted(Path(sys.argv[2]).rglob("*.*")):
     print(path.relative_to(sys.argv[2]), hashlib.sha256(path.read_bytes()).hexdigest())
+if kernels._worker and kernels._getcpu:
+    kernels._two(int, (), ())  # a hand-off: the caller's CPU and the worker's CPUs after it
+    print("worker:", kernels._getcpu(), *sorted(os.sched_getaffinity(kernels._worker.native_id)))
+else:
+    print("worker: unplaced")
 print("threads started:", threading.active_count() - threads)
 """
 
@@ -495,7 +552,8 @@ print("threads started:", threading.active_count() - threads)
 @pytest.fixture(scope="module")
 def blas_settings(tmp_path_factory):
     """Per BLAS setting, in a fresh interpreter: digests of 3-D n = 38, 47 and 63 solves (all
-    cut) and of exp_dirac_collapse's files at levels (31, 47), then the threads started."""
+    cut) and of exp_dirac_collapse's files at levels (31, 47), then the caller's CPU and the
+    worker's CPUs, and the threads started."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("needs CPU affinity")
     env = {k: v for k, v in os.environ.items()
@@ -512,12 +570,18 @@ def blas_settings(tmp_path_factory):
 
 def test_one_cpu_runs_every_pass_serially_to_the_same_bits(blas_settings):
     assert blas_settings["unset"][-1] == f"threads started: {int(TWO_CPUS)}"
-    assert blas_settings["one CPU"][-1] == "threads started: 0"
+    assert blas_settings["one CPU"][-2:] == ["worker: unplaced", "threads started: 0"]
     assert blas_settings["one CPU"][:3] == blas_settings["unset"][:3]
+
+
+@pytest.mark.skipif(not PLACED, reason="needs two CPUs and thread placement")
+def test_a_fresh_interpreters_worker_is_bound_away_from_its_caller(blas_settings):
+    label, cpu, *cpus = blas_settings["unset"][-2].split()
+    assert label == "worker:" and cpus and cpu not in cpus
 
 
 def test_no_blas_thread_setting_or_cpu_count_changes_an_output_byte(blas_settings):
     # a threaded BLAS cuts each product its own way; measopt sets it to one thread itself
-    runs = {setting: lines[:-1] for setting, lines in blas_settings.items()}
+    runs = {setting: lines[:-2] for setting, lines in blas_settings.items()}
     assert len(runs["unset"]) == 6  # the three solves, the two tables and summary.json
     assert runs == {setting: runs["unset"] for setting in runs}
