@@ -27,22 +27,22 @@ pass to many solves: every update, both transforms of the preconditioner
 and the true-residual check write into its slots, so a CG iteration
 allocates no full-grid array and a repeated 3-D solve takes no page
 faults (BENCH_19_workspace.json).  The transform is a dense product with the
-symmetric n x n sine matrix per axis, O(n^(dim+1)) flops in all:
-a.reshape(-1, n) @ S for the last axis and S @ a.reshape(n**ax, n, -1)
-for every other axis ax, with no transposed copy.  At the sizes measopt
-runs this beats an FFT, whose cost at small n goes to axis bookkeeping
-and padded copies rather than arithmetic: against a zero-padded real FFT
-per axis with one BLAS thread it was 1.7-6.7x faster in 2-D for
-n = 17..255 and 1.3-8.5x in 3-D for n = 15..191, tying at 2-D n = 511.
+symmetric n x n sine matrix per axis, O(n^(dim+1)) flops in all, with no
+transposed copy: a S per n x n slab of axis 0 for the last axis (in 1-D,
+the row), S a for the leading axis and S per slab for the middle one.  At
+the sizes measopt runs this beats an FFT, whose cost at small n goes to
+axis bookkeeping and padded copies rather than arithmetic: against a
+zero-padded real FFT per axis with one BLAS thread it was 1.7-6.7x faster
+in 2-D for n = 17..255 and 1.3-8.5x in 3-D for n = 15..191, tying at 2-D n = 511.
 
 From SPLIT_MIN nodes of a 3-D grid (n >= 38) a solve's full-grid work runs
 as jobs in two halves cut at row n // 2 of axis 0 (``_halves``), whose partial
 sums add low + high.  The stencil, whole or cut, is ``_rows``: one subtraction
 per neighbour over the flat nodes, per slab for the middle axis and masked at
-the row ends for the last.  A cut ``sine_solve`` is five jobs; their last-axis
-products are one n x n product per axis-0 slab, which rounds like the whole
-path's tall product except where n = 1..4 (mod 8), and the leading axis is cut
-on OpenBLAS's DGEMM tiles.  The grid alone fixes the bytes: the high half runs
+the row ends for the last.  ``sine_solve`` runs one job sequence on every
+grid: the cut decides only whether a job runs whole or in halves, and changes
+no byte of it, as the leading axis is cut on OpenBLAS's DGEMM tiles and every
+other job per slab.  The grid alone fixes the bytes: the high half runs
 on one daemon worker, which calls no name a tracer may wrap, on two CPUs or
 more, else after the low half.  Where the OS says which CPU a thread is on and
 lets a thread be bound (Linux with glibc), the worker is bound to the CPUs its
@@ -98,9 +98,9 @@ class Plan(NamedTuple):
     eig: np.ndarray    # the eigenvalues of -Lap_h on the sine modes, flat, read-only
     axes: tuple        # per axis the stride s of the flat nodes: a node's neighbours are i +- s
     mask: np.ndarray   # mask[i]: node i + 1 is i's neighbour along the last axis, read-only
-    passes: tuple      # the shape of each transform pass: last axis first
-    two: object        # None (passes run whole) or ``runner``'s way to run a cut pass's halves
-    run: object        # run(fn, *args) makes fn(*args) a pass: whole, or ``_halves``
+    slabs: tuple       # a flat array as the n x n slabs of axis 0 that S multiplies; 1-D: a row
+    two: object        # None (jobs run whole) or ``runner``'s way to run a cut job's halves
+    run: object        # run(fn, *args) makes fn(*args) a job: whole, or ``_halves``
 
 
 @functools.lru_cache(maxsize=32)
@@ -117,11 +117,10 @@ def grid_plan(dim: int, n: int) -> Plan:
         eig = eig + lam1.reshape((n,) + (1,) * (dim - 1 - ax))
     mask = np.tile(np.arange(n) < n - 1, n ** (dim - 1))  # node i has i + 1 on its row
     sine.flags.writeable = eig.flags.writeable = mask.flags.writeable = False
-    passes = ((n ** (dim - 1), n),) + tuple((n ** ax, n, n ** (dim - 1 - ax))
-                                            for ax in range(dim - 1))
     two = runner(dim, n ** dim)
     return Plan(h, h ** dim, 1.0 / (h * h), sine, eig.reshape(-1),
-                tuple(n ** (dim - 1 - ax) for ax in range(dim)), mask, passes, two,
+                tuple(n ** (dim - 1 - ax) for ax in range(dim)), mask,
+                (-1, n, n) if dim == 3 else (n ** (dim - 1), n), two,
                 _call if two is None else functools.partial(_halves, two, n // 2 * n ** (dim - 1)))
 
 
@@ -263,27 +262,6 @@ def _rows(u, out, lo, hi, plan: Plan):
     rows *= plan.inv_h2
 
 
-def _sine_transform(a, plan: Plan, out, tmp):
-    """Orthonormal type-I sine transform of the flat array a over every axis.
-
-    The last axis is one product ``a.reshape(-1, n) @ S``; every other
-    axis ``ax`` is ``S @ a.reshape(n**ax, n, -1)``, a single product for
-    the leading axis and a batched one for a middle axis.  S is
-    symmetric, so no pass needs a transposed copy.  The products
-    ping-pong between ``out`` and ``tmp``, flat buffers of a's size that
-    must not overlap a or each other, so that the last lands in ``out``.
-    a is left unchanged.
-    """
-    s = plan.sine
-    first, *rest = plan.passes
-    dst, src = (out, tmp) if len(plan.passes) % 2 else (tmp, out)
-    np.matmul(a.reshape(first), s, out=dst.reshape(first))
-    for shape in rest:
-        src, dst = dst, src
-        np.matmul(s, src.reshape(shape), out=dst.reshape(shape))
-    return out
-
-
 def inverse_eigenvalues(dim: int, n: int, c: float) -> np.ndarray:
     """(lam + c)^-1 for the eigenvalues lam of -Lap_h, flat; a fresh array."""
     plan = grid_plan(dim, n)
@@ -299,29 +277,33 @@ def _inverse(eig, c, out):
 def sine_solve(b, inv_eig, dim: int, n: int, out, mid, tmp):
     """out = S(inv_eig * S b) = (-Lap_h + c I)^-1 b for ``inverse_eigenvalues(dim, n, c)``.
 
-    ``out``, ``mid`` and ``tmp`` are flat, disjoint from b and each other.  A cut grid runs
-    five jobs in halves, each axis in ``_sine_transform``'s order: the last axis, the
-    leading one, then the middle axis, the scaling and the inverse's last axis in one job.
+    ``out``, ``mid`` and ``tmp`` are flat, disjoint from b and each other.  Each transform
+    takes the last axis, then the leading one, then the middle one.  1-D is two row products;
+    2-D and 3-D run the jobs ``_last``, [``_leading``,] ``_scaled`` (the middle axis, the
+    scaling and the inverse's last axis), [``_leading``,] ``_middle``, whole or in halves.
     """
     plan = grid_plan(dim, n)
-    if plan.two is None:
-        _sine_transform(b, plan, mid, tmp)
-        np.multiply(mid, inv_eig, out=mid)
-        return _sine_transform(mid, plan, out, tmp)
-    plan.run(_last, b, tmp, plan)
-    _leading(tmp, mid, plan)
-    plan.run(_scaled, mid, inv_eig, tmp, plan)
-    _leading(mid, tmp, plan)
-    plan.run(_middle, tmp, out, plan)
+    run = plan.run
+    run(_last, b, tmp, plan)
+    if dim == 1:  # one row: its last axis is the whole transform
+        run(_last, np.multiply(tmp, inv_eig, out=tmp), out, plan)
+        return out
+    if dim == 3:
+        _leading(tmp, mid, plan)
+        run(_scaled, mid, inv_eig, tmp, plan)
+        _leading(mid, tmp, plan)
+    else:
+        run(_scaled, tmp, inv_eig, mid, plan)
+    run(_middle, tmp, out, plan)
     return out
 
 
-def _last(a, out, plan: Plan):  # out = a S on flat axis-0 slabs, one n x n product per slab
-    np.matmul(a.reshape(-1, *plan.sine.shape), plan.sine, out=out.reshape(-1, *plan.sine.shape))
+def _last(a, out, plan: Plan):  # out = a S, one product per slab
+    np.matmul(a.reshape(plan.slabs), plan.sine, out=out.reshape(plan.slabs))
 
 
 def _middle(a, out, plan: Plan):  # out = S a, one product per slab
-    np.matmul(plan.sine, a.reshape(-1, *plan.sine.shape), out=out.reshape(-1, *plan.sine.shape))
+    np.matmul(plan.sine, a.reshape(plan.slabs), out=out.reshape(plan.slabs))
 
 
 def _scaled(a, inv_eig, tmp, plan: Plan):  # a = (inv_eig * S a) S, slab by slab
@@ -329,10 +311,13 @@ def _scaled(a, inv_eig, tmp, plan: Plan):  # a = (inv_eig * S a) S, slab by slab
     _last(np.multiply(tmp, inv_eig, out=tmp), a, plan)
 
 
-def _leading(a, out, plan: Plan):  # out = S a along axis 0, in column halves cut on DGEMM tiles
+def _leading(a, out, plan: Plan):  # out = S a along axis 0; cut, in column halves on DGEMM tiles
     s, n = plan.sine, len(plan.sine)
     a, out, cols = a.reshape(n, n * n), out.reshape(n, n * n), n * n // 2 // TILE * TILE
-    plan.two(np.matmul, (s, a[:, :cols], out[:, :cols]), (s, a[:, cols:], out[:, cols:]))
+    if plan.two is None:
+        np.matmul(s, a, out=out)
+    else:
+        plan.two(np.matmul, (s, a[:, :cols], out[:, :cols]), (s, a[:, cols:], out[:, cols:]))
 
 
 def rounding_floor(b, x, fx, dim: int, n: int, out) -> float:
@@ -341,14 +326,14 @@ def rounding_floor(b, x, fx, dim: int, n: int, out) -> float:
     ``out`` is scratch of b's size for the absolute values; it may be fx, and fx may be b.
     """
     plan = grid_plan(dim, n)
-    sum_b, sum_x, sum_fx = plan.run(_floor_sums, b, x, fx, out, fx is b)
+    sum_b, sum_x, sum_fx = plan.run(_floor_sums, b, x, fx, out)
     total = float(sum_b + 4.0 * dim / (plan.h * plan.h) * sum_x + sum_fx)
     return FLOOR_C * float(np.finfo(np.float64).eps) * plan.hd * total
 
 
-def _floor_sums(b, x, fx, out, fx_is_b):  # sum |fx| first, so that out may be fx
+def _floor_sums(b, x, fx, out):  # sum |fx| first, so that out may be fx
     sum_fx = np.abs(fx, out=out).sum()
-    return sum_fx if fx_is_b else np.abs(b, out=out).sum(), np.abs(x, out=out).sum(), sum_fx
+    return np.abs(b, out=out).sum(), np.abs(x, out=out).sum(), sum_fx
 
 
 def cg_shifted(b, diag, dim: int, n: int, atol_l1: float, maxiter: int, work=None):

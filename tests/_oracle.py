@@ -1,11 +1,12 @@
 """References the package is checked against: a sparse-direct solve, the
-weak-* pairing of a measure with a grid field and the Jordan split of a
-measure."""
+sine transform as allocating products, the weak-* pairing of a measure with
+a grid field and the Jordan split of a measure."""
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from measopt.grid import Grid, ScalarField
+from measopt.kernels import grid_plan
 from measopt.measures import DiscreteMeasure
 
 
@@ -18,6 +19,18 @@ def _solve_direct(grid: Grid, diag, rhs):
         a = sp.kron(a, sp.identity(grid.n)) + sp.kron(sp.identity(a.shape[0]), a1)
     a = a + sp.diags(np.broadcast_to(np.asarray(diag, dtype=np.float64), (a.shape[0],)))
     return spla.splu(sp.csc_matrix(a)).solve(rhs)
+
+
+def sine_transform(a):
+    """The orthonormal type-I sine transform of the array a over every axis, one
+    allocating product per axis in ``kernels.sine_solve``'s order: the last axis (one
+    product per n x n slab of axis 0; in 1-D the row), the leading axis, the middle one."""
+    n = a.shape[0]
+    s = grid_plan(a.ndim, n).sine
+    t = a.reshape(1, n) @ s if a.ndim == 1 else a.reshape(-1, n, n) @ s
+    for ax in range(a.ndim - 1):
+        t = s @ t.reshape(n ** ax, n, -1)
+    return t.reshape(a.shape)
 
 
 def weak_star_pairing(m: DiscreteMeasure, phi: ScalarField) -> float:

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from measopt import (ControlProblem, DiscreteMeasure, Nonlinearity, ScalarField, adjoint_gradient,
                      build_grid, kernels, rasterize, solve_linear, solve_semilinear, solver)
-from measopt.kernels import (_sine_transform, cg_shifted, grid_plan, inverse_eigenvalues,
-                             neg_laplacian, sine_solve)
+from measopt.kernels import cg_shifted, grid_plan, inverse_eigenvalues, neg_laplacian, sine_solve
+
+from _oracle import sine_transform
 
 _MAX_N = {1: 40, 2: 16, 3: 8}
 
@@ -92,27 +93,22 @@ def test_cg_is_exactly_odd_in_its_right_hand_side(system):
     assert (iters_neg, res_neg, converged_neg) == (iters, res, converged)
 
 
-def _allocating_transform(a):
-    """The transform as a chain of allocating products, one per axis."""
-    n = a.shape[0]
-    s = grid_plan(a.ndim, n).sine
-    t = a.reshape(-1, n) @ s
-    for ax in range(a.ndim - 1):
-        t = s @ t.reshape(n ** ax, n, -1)
-    return t.reshape(a.shape)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-def test_sine_transform_into_buffers_matches_the_allocating_products_bitwise(dim, n, seed):
-    a = np.random.default_rng(seed).standard_normal((n,) * dim)
-    a_before = a.copy()
-    ref = _allocating_transform(a)
-    out, tmp = np.full(a.size, np.nan), np.full(a.size, np.nan)
-    t = _sine_transform(a.reshape(-1), grid_plan(dim, n), out, tmp)
-    assert t is out
-    assert np.array_equal(t, ref.reshape(-1))
-    assert np.array_equal(a, a_before)
+@given(st.integers(1, 3), st.integers(1, 40), st.floats(0.0, 1e3), st.integers(0, 2 ** 32 - 1))
+def test_sine_solve_whole_or_cut_matches_the_allocating_transforms_bitwise(dim, n, c, seed):
+    # one job sequence for every grid: whole, or every 3-D grid cut in halves
+    b = np.random.default_rng(seed).standard_normal(n ** dim)
+    b_before = b.copy()
+    inv_eig = inverse_eigenvalues(dim, n, c)
+    shape = (n,) * dim
+    ref = sine_transform(inv_eig.reshape(shape) * sine_transform(b.reshape(shape))).reshape(-1)
+    for cut in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            _passes(mp, split=cut)
+            out, mid, tmp = np.full((3, b.size), np.nan)
+            got = sine_solve(b, inv_eig, dim, n, out, mid, tmp)
+        assert got is out and got.tobytes() == ref.tobytes()
+    assert np.array_equal(b, b_before)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -487,10 +483,9 @@ def test_a_forked_child_solves_without_its_parents_worker(monkeypatch):
 
 
 def test_the_transform_cuts_keep_the_bits_of_the_whole_products(monkeypatch):
-    # a split sine_solve against the whole one, 3-D grids from SPLIT_MIN nodes up.  The split
-    # takes the last axis as one n x n product per slab, which rounds like the whole path's
-    # one tall product except where n = 1..4 (mod 8), n > 16
-    rows, least = [], kernels.SPLIT_MIN
+    # a split sine_solve against the whole one, 3-D grids from SPLIT_MIN nodes up: both run
+    # the same jobs, and the leading axis is cut on DGEMM tiles
+    least = kernels.SPLIT_MIN
     for n in (38, 41, 47, 49, 55, 57, 63):
         rng = np.random.default_rng(n)
         b = rng.standard_normal(n ** 3) * 10.0 ** rng.integers(-5, 5, n ** 3)
@@ -498,13 +493,9 @@ def test_the_transform_cuts_keep_the_bits_of_the_whole_products(monkeypatch):
         got = []
         for cut in (True, False):
             _passes(monkeypatch, cut)
-            got.append(sine_solve(b, inverse_eigenvalues(3, n, n), 3, n, *np.empty((3, b.size))))
-        split, whole = got
-        rows.append((n, split.tobytes() == whole.tobytes(),
-                     np.abs(split - whole).max() / np.abs(whole).max()))
-    assert [row[:2] for row in rows] == [
-        (38, True), (41, False), (47, True), (49, False), (55, True), (57, False), (63, True)]
-    assert max(row[2] for row in rows) < 1e-15
+            got.append(sine_solve(b, inverse_eigenvalues(3, n, n), 3, n,
+                                  *np.empty((3, b.size))).tobytes())
+        assert got[0] == got[1], n
 
 
 def test_only_large_3d_grids_on_two_cpus_with_one_blas_thread_split(monkeypatch):

@@ -15,10 +15,9 @@ from measopt import (ConvergenceError, DiscreteMeasure, Nonlinearity,
 import measopt.kernels
 import measopt.solver
 from measopt.grid import neg_laplacian_apply
-from measopt.kernels import _sine_transform, grid_plan
 from measopt.solver import _solve_shifted, solve_by_sub_supersolution
 
-from _oracle import _solve_direct, weak_star_pairing
+from _oracle import _solve_direct, sine_transform, weak_star_pairing
 
 
 def _const_measure(grid, value):
@@ -103,19 +102,13 @@ def _shifted_systems(draw):
     return grid, diag, rhs
 
 
-def _transform(a):
-    """The sine transform of a over all its axes, into fresh buffers."""
-    out, tmp = np.empty(a.size), np.empty(a.size)
-    return _sine_transform(a.reshape(-1), grid_plan(a.ndim, a.shape[0]), out, tmp).reshape(a.shape)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 7, 31])
 def test_sine_transform_is_an_orthonormal_involution(dim, n):
     a = np.random.default_rng(10 * dim + n).standard_normal((n,) * dim)
-    t = _transform(a)
+    t = sine_transform(a)
     assert t.shape == a.shape
-    np.testing.assert_allclose(_transform(t), a, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sine_transform(t), a, rtol=0.0, atol=1e-12)
     assert np.linalg.norm(t) == pytest.approx(np.linalg.norm(a), rel=1e-12)
     if dim == 1:
         j = np.arange(1, n + 1)
@@ -126,8 +119,8 @@ def test_sine_transform_is_an_orthonormal_involution(dim, n):
         # separable: each axis transformed exactly once, by the 1-D transform
         vs = np.random.default_rng(n).standard_normal((dim, n))
         outer = functools.reduce(np.multiply.outer, vs)
-        ref = functools.reduce(np.multiply.outer, [_transform(v) for v in vs])
-        np.testing.assert_allclose(_transform(outer), ref, rtol=0.0, atol=1e-12)
+        ref = functools.reduce(np.multiply.outer, [sine_transform(v) for v in vs])
+        np.testing.assert_allclose(sine_transform(outer), ref, rtol=0.0, atol=1e-12)
 
 
 def _padded_stencil(a, inv_h2):
