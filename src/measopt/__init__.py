@@ -12,6 +12,20 @@ absorption estimate, truncation inequalities, minimizer regularity,
 nonconvexity of F, mollification stability, and the collapse of
 mollified point sources under supercritical absorption.
 """
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:  # OpenBLAS reads this once, as it loads: start no thread pool
+    _blas_threads = _os.environ.get("OPENBLAS_NUM_THREADS")
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:  # children and a later BLAS see the caller's environment
+        if _blas_threads is None:
+            del _os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            _os.environ["OPENBLAS_NUM_THREADS"] = _blas_threads
+
 from .grid import (Grid, ScalarField, build_grid, constant_field, load_field,
                    lp_norm, named_field, neg_laplacian_apply, save_field,
                    w11_norm, zeros_field)

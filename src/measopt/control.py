@@ -31,6 +31,7 @@ import numpy as np
 
 from .checks import count, real
 from .grid import Grid, ScalarField, _lp, _owned_field, constant_field, lp_norm, zeros_field
+from .kernels import _map_instances
 from .measures import DiscreteMeasure, tv_norm
 from .nonlinearity import Nonlinearity
 from .solver import (DEFAULT_TOL, ConvergenceError, _shift, _solve_shifted,
@@ -296,24 +297,25 @@ def alpha_sweep(prob: ControlProblem, alphas,
     """Minimize F once per alpha, each run from the zero control.
 
     F has a minimizer for every alpha > 0, so each level is its own
-    problem; no level starts from another's result.
+    problem; no level starts from another's result, and the levels run
+    on two processes (``kernels._map_instances``).
     """
     if prob.p == math.inf:
         raise ValueError("invalid exponent: alpha sweep needs p < inf")
     problems = [replace(prob, alpha=a) for a in alphas]
     cfg = config or OptimizeConfig()
-    rows = []
-    for level in problems:
+
+    def row(level):
         res = optimize(level, cfg)
-        rows.append(SweepRow(
+        return SweepRow(
             alpha=level.alpha,
             misfit=prob.misfit(res.u_star.values),
             tv=tv_norm(res.mu_star),
             f_value=res.F_value,
             iterations=len(res.history) - 1,
             sparsity=res.sparsity,
-            slack=res.slack))
-    return rows
+            slack=res.slack)
+    return _map_instances(row, problems)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .control import (ControlProblem, OptimizeConfig, check_state_regularity,
                       evaluate_cost, optimize)
 from .grid import (_FIELD_KEYS, ScalarField, build_grid, constant_field, named_field,
                    neg_laplacian_apply, _lp)
+from .kernels import _map_instances
 from .measures import DiscreteMeasure, mollify, scale, tv_norm
 from .nonlinearity import Nonlinearity
 from .solver import (ConvergenceError, lemma_truncation_check, reduced_limit,
@@ -420,30 +421,37 @@ def exp_truncation_suite(spec: ExperimentSpec) -> ExperimentReport:
     trunc_grid = build_grid(par["dim"], count(par["truncate_n"], "truncate_n"))
     dim = lemma_grid.dim
 
-    lemma_slacks = []
-    for _ in range(instances):
-        u1, a1, u2 = (rng.normal(size=lemma_grid.total_interior) for _ in range(3))
-        u2f = ScalarField(lemma_grid, u2)
-        a2 = (np.maximum(-neg_laplacian_apply(u2f).values, 0.0)
-              + rng.uniform(0.0, 1.0, size=lemma_grid.total_interior))
-        lemma_slacks.append(lemma_truncation_check(
-            ScalarField(lemma_grid, u1), u2f,
-            ScalarField(lemma_grid, a1), ScalarField(lemma_grid, a2)).slack)
-
     gs = [Nonlinearity.power(1.5), Nonlinearity.power(2.0),
           Nonlinearity.power(3.0), Nonlinearity.linear(0.7)]
-    trunc_slacks = []
-    for i in range(instances):
-        g = gs[i % len(gs)]
-        dens = ScalarField(trunc_grid, rng.normal(size=trunc_grid.total_interior))
-        atoms = tuple((tuple(rng.uniform(0.1, 0.9, size=dim)), rng.uniform(-1.0, 1.0))
-                      for _ in range(2))
-        wdens = ScalarField(trunc_grid, rng.uniform(0.0, 2.0, size=trunc_grid.total_interior))
-        u, _ = solve_semilinear(trunc_grid, g, DiscreteMeasure(dim, atoms=atoms, density=dens),
-                                tol=1e-10)
-        w, _ = solve_linear(trunc_grid, DiscreteMeasure.from_density(wdens), tol=1e-12)
+
+    def lemma_slack(u1, a1, u2, noise):
+        u2f = ScalarField(lemma_grid, u2)
+        a2 = np.maximum(-neg_laplacian_apply(u2f).values, 0.0) + noise
+        return lemma_truncation_check(
+            ScalarField(lemma_grid, u1), u2f,
+            ScalarField(lemma_grid, a1), ScalarField(lemma_grid, a2)).slack
+
+    def tv_slack(g, dens, atoms, wdens):
+        u, _ = solve_semilinear(trunc_grid, g, DiscreteMeasure(
+            dim, atoms=atoms, density=ScalarField(trunc_grid, dens)), tol=1e-10)
+        w, _ = solve_linear(trunc_grid, DiscreteMeasure.from_density(
+            ScalarField(trunc_grid, wdens)), tol=1e-12)
         _, nu = truncate_min(u, w, g)
-        trunc_slacks.append(tv_norm(residual_measure(trunc_grid, g, u)) - tv_norm(nu))
+        return tv_norm(residual_measure(trunc_grid, g, u)) - tv_norm(nu)
+
+    def drawn():  # every lemma instance, then every truncation instance, in RNG order
+        for _ in range(instances):
+            u1, a1, u2 = (rng.normal(size=lemma_grid.total_interior) for _ in range(3))
+            yield lemma_slack, (u1, a1, u2, rng.uniform(0.0, 1.0, size=lemma_grid.total_interior))
+        for i in range(instances):
+            dens = rng.normal(size=trunc_grid.total_interior)
+            atoms = tuple((tuple(rng.uniform(0.1, 0.9, size=dim)), rng.uniform(-1.0, 1.0))
+                          for _ in range(2))
+            yield tv_slack, (gs[i % len(gs)], dens, atoms,
+                             rng.uniform(0.0, 2.0, size=trunc_grid.total_interior))
+
+    slacks = _map_instances(lambda job: job[0](*job[1]), drawn())
+    lemma_slacks, trunc_slacks = slacks[:instances], slacks[instances:]
 
     rows = [[i, "paired-inequality", s] for i, s in enumerate(lemma_slacks)]
     rows += [[i, "tv-comparison", s] for i, s in enumerate(trunc_slacks)]
@@ -509,24 +517,26 @@ def exp_regularity_suite(spec: ExperimentSpec) -> ExperimentReport:
         base = max(misfit, s)
         return s + (p * base ** (p - 1.0) * s / grid.cell_volume) ** (1.0 / p)
 
-    rows = []
-    trunc_ok, sup_ok, sign_ok = [], [], []
-    for i in range(instances):
-        vals = _random_sines(grid, rng, rng.uniform(0.2, 1.0))
-        if i % 2 == 0:
-            vals = np.abs(vals)
+    def drawn():  # the targets, in RNG order; every other one made nonnegative
+        for i in range(instances):
+            vals = _random_sines(grid, rng, rng.uniform(0.2, 1.0))
+            yield i, np.abs(vals) if i % 2 == 0 else vals
+
+    def audit(target):  # the table row, then the truncation, sup and sign verdicts
+        i, vals = target
         prob = ControlProblem(grid, g, ScalarField(grid, vals), p, alpha)
         res = optimize(prob, cfg)
         rep = check_state_regularity(prob, res)
         beta = pointwise_slack(prob.misfit(res.u_star.values), rep.slack)
         sup_margin = rep.max_abs_state - rep.ud_inf
-        rows.append([i, rep.ud_inf, rep.ud_nonnegative, res.f_zero,
-                     rep.f_original, rep.f_truncated, rep.slack, beta,
-                     rep.min_state, rep.max_abs_state, sup_margin])
-        trunc_ok.append(not rep.improved)
-        sup_ok.append(sup_margin <= beta)
-        if rep.ud_nonnegative:
-            sign_ok.append(rep.min_state >= -beta)
+        return ([i, rep.ud_inf, rep.ud_nonnegative, res.f_zero,
+                 rep.f_original, rep.f_truncated, rep.slack, beta,
+                 rep.min_state, rep.max_abs_state, sup_margin],
+                not rep.improved, sup_margin <= beta,
+                rep.min_state >= -beta if rep.ud_nonnegative else None)
+
+    rows, trunc_ok, sup_ok, signs = map(list, zip(*_map_instances(audit, drawn())))
+    sign_ok = [ok for ok in signs if ok is not None]
     tables = [write_csv(
         spec.output_dir / "regularity.csv",
         ["instance", "ud_inf", "ud_nonnegative", "f_zero", "f_star",

@@ -50,12 +50,24 @@ creator may use but the one the creator is on, and bound again whenever a
 hand-off finds its caller on one of them: left to itself, the scheduler wakes
 the worker on its caller's CPU, and the halves take turns.  The caller is
 never bound.  A state solve of one Newton step and two CG iterations hands the
-worker 35 jobs.  Importing measopt sets numpy's OpenBLAS to one thread for
-good, for the whole process and its user threads: a threaded BLAS cuts each
-product its own way, so its sums would depend on the thread count (Demmel and
-Nguyen, ARITH 21, 2013), and a restore would race with a solve on another
-thread.  A BLAS with no such setter (MKL, Accelerate) keeps its own threads,
-and every pass runs whole or in turn.
+worker 35 jobs.  Importing measopt starts numpy's OpenBLAS on one thread, when
+numpy is not yet loaded, and sets it to one thread for good, for the whole
+process and its user threads: a threaded BLAS cuts each product its own way,
+so its sums would depend on the thread count (Demmel and Nguyen, ARITH 21,
+2013), and a restore would race with a solve on another thread.  A BLAS with
+no such setter (MKL, Accelerate) keeps its own threads, and every pass runs
+whole or in turn.
+
+Independent 2-D instances are bound by the interpreter, so threads cannot share
+them out; ``_map_instances`` runs them on two processes instead: the truncation
+suite's instances, the regularity suite's optimizations and ``alpha_sweep``'s
+levels.  One forked child takes the odd-indexed items, bound like the worker to
+the CPUs but its parent's, and sends its results back pickled through a pipe.
+Each result is computed as in a serial run, so the output bytes do not change.
+The map runs serially without ``os.fork``, on one CPU, where a process cannot
+be placed, and inside its own child.  Other work stays in one process: the
+mollification experiment's six short solves lost more to the fork than they
+gained, and 3-D grids already use both CPUs through the worker.
 """
 from __future__ import annotations
 
@@ -64,7 +76,10 @@ import functools
 import math
 import operator
 import os
+import pickle
+import signal
 import threading
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -220,6 +235,80 @@ def _two(fn, lo, hi):
 
 def _in_turn(fn, lo, hi):
     return fn(*lo), fn(*hi)
+
+
+_forked = False  # True in a child of ``_map_instances``, whose maps run serially
+
+
+def _map_instances(fn, items) -> list:
+    """[fn(x) for x in items], the even-indexed items here and the odd ones in one forked child.
+
+    Both processes iterate all of ``items`` in order, so items drawn from a random generator
+    are the serial run's, and neither process holds them all.  The child binds itself to the
+    CPUs but this process's (unbound, the scheduler kept it there and the halves took turns)
+    and sends its results, or its exception, pickled through a pipe; they are merged here in
+    input order, or the exception (a ``ConvergenceError`` keeps its report) is raised.  The
+    child leaves through ``os._exit`` and is reaped on every path, killed first if this half
+    raises or is interrupted.  Serial on one CPU, where a process cannot be placed (no
+    ``_getcpu``, as wherever ``os.fork`` is missing), inside a child and when the fork
+    fails.  Python 3.12 warns when a process with threads forks; that is ignored: the child
+    runs fn alone, and the at-fork hook drops the split worker, measopt's one thread.
+    """
+    if _forked or not _getcpu or _cpu_count() < 2:
+        return [fn(x) for x in items]
+    cpu = _getcpu()
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+            pid = os.fork()
+    except OSError:  # no process to be had (EAGAIN, ENOMEM): every item runs here
+        os.close(read_end), os.close(write_end)
+        return [fn(x) for x in items]
+    if pid == 0:
+        _child_half(fn, items, cpu, write_end)  # never returns
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            ours = [fn(x) for i, x in enumerate(items) if i % 2 == 0]
+            reply = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"the process mapping the odd-indexed instances ended without "
+                           f"a result ({how})")
+    ok, theirs = pickle.loads(reply)  # bytes the child wrote
+    if not ok:
+        raise theirs
+    merged = ours + theirs
+    merged[::2], merged[1::2] = ours, theirs
+    return merged
+
+
+def _child_half(fn, items, cpu, write_end):
+    """In the child: fn of the odd-indexed items, or the error raised, pickled into write_end;
+    then the child exits."""
+    global _forked
+    code = 1
+    try:
+        _forked = True
+        try:
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+        except OSError:
+            pass  # refused: run where the scheduler puts it
+        try:
+            reply = True, [fn(x) for i, x in enumerate(items) if i % 2]
+        except BaseException as exc:  # re-raised by the parent
+            reply = False, exc
+        with open(write_end, "wb") as pipe:  # a reply that cannot be pickled exits with 1
+            pipe.write(pickle.dumps(reply))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def neg_laplacian_numpy(u, dim: int, n: int, out=None):

@@ -425,6 +425,15 @@ def test_alpha_sweep_misfit_monotone():
     assert rows[-1].misfit < rows[0].misfit
 
 
+def test_alpha_sweep_rows_are_the_same_on_one_or_two_processes(monkeypatch):
+    grid = build_grid(2, 11)
+    prob = _problem(grid, u_d=named_field(grid, "sines", {"amplitude": 0.5}))
+    alphas, cfg = [0.1, 0.05, 0.025], OptimizeConfig(max_iter=20)
+    two = alpha_sweep(prob, alphas, cfg)
+    monkeypatch.setattr(measopt.kernels, "_cpu_count", lambda: 1)
+    assert alpha_sweep(prob, alphas, cfg) == two
+
+
 def test_adjoint_rejects_a_negative_derivative():
     # g = 0 passes every state solve with no Newton step, so only the adjoint reads g'
     grid = build_grid(2, 9)
@@ -494,6 +503,8 @@ def test_one_optimize_run_per_problem(monkeypatch):
         return real_optimize(prob, config)
 
     monkeypatch.setattr(measopt.control, "optimize", counting)
+    # one process, so every level's run is counted here: a forked child's calls are not seen
+    monkeypatch.setattr(measopt.kernels, "_cpu_count", lambda: 1)
     grid = build_grid(2, 7)
     prob = _problem(grid, u_d=named_field(grid, "sines", {"amplitude": 0.2}))
     cfg = OptimizeConfig(max_iter=3)

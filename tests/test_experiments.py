@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from measopt import (ControlProblem, DiscreteMeasure, Nonlinearity,
-                     build_grid, constant_field, evaluate_cost,
+                     build_grid, constant_field, evaluate_cost, kernels,
                      list_experiments, mollify, run_experiment, scale,
                      solve_semilinear)
 
@@ -140,6 +140,24 @@ def test_same_seed_summaries_match_across_directories(tmp_path):
     assert summary["tables"] == ["truncation_slacks.csv", "truncation_slack_histogram.csv"]
     assert r1.tables == [str(tmp_path / "a" / "exp_truncation_suite" / t)
                          for t in summary["tables"]]
+
+
+def _files(folder) -> dict:
+    return {str(f.relative_to(folder)): f.read_bytes() for f in sorted(folder.rglob("*.*"))}
+
+
+@pytest.mark.parametrize("name, seed, params", [
+    ("exp_truncation_suite", 0, {}),
+    ("exp_truncation_suite", 1, {}),
+    ("exp_regularity_suite", 0, {"instances": 3, "max_iter": 30}),
+])
+def test_serial_and_two_process_runs_write_the_same_bytes(monkeypatch, tmp_path, name, seed,
+                                                          params):
+    # on two CPUs the instances run on two processes; kernels._cpu_count of 1 runs them here
+    run_experiment(name, params, output_dir=tmp_path / "two", seed=seed)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 1)
+    run_experiment(name, params, output_dir=tmp_path / "one", seed=seed)
+    assert _files(tmp_path / "two") == _files(tmp_path / "one")
 
 
 def test_truncation_suite_seed_changes_tables(tmp_path):

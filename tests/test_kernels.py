@@ -5,6 +5,7 @@ import gc
 import hashlib
 import os
 import select
+import signal
 import subprocess
 import sys
 import threading
@@ -482,6 +483,121 @@ def test_a_forked_child_solves_without_its_parents_worker(monkeypatch):
     assert got == f"{expected} True"
 
 
+# ---------------------------------------------------------------------------
+# independent instances on two processes
+# ---------------------------------------------------------------------------
+
+# where _map_instances runs the odd-indexed items in a forked child: two CPUs and placement
+needs_fork = pytest.mark.skipif(not PLACED, reason="needs two CPUs and process placement")
+
+
+def test_a_map_merges_both_processes_results_in_input_order():
+    # both processes draw every item from one generator, so the child's items are the
+    # serial run's; the odd-indexed ones come from the child
+    def drawn():
+        rng = np.random.default_rng(3)
+        return (rng.normal(size=4) for _ in range(7))
+
+    got = kernels._map_instances(lambda x: (_digest(x), os.getpid()), drawn())
+    assert [d for d, _ in got] == [_digest(x) for x in drawn()]
+    pids = [pid for _, pid in got]
+    assert set(pids[::2]) == {os.getpid()}
+    assert len(set(pids[1::2])) == 1 and (pids[1] != os.getpid()) == PLACED
+
+
+@needs_fork
+def test_a_childs_convergence_error_reaches_the_caller_with_its_report():
+    parent, report = os.getpid(), solver.SolveReport(7, 0.5, False, method="cg")
+
+    def half(x):
+        if x % 2:
+            raise solver.ConvergenceError(f"in {os.getpid()}", report=report, trace=[x])
+        return x
+
+    with pytest.raises(solver.ConvergenceError) as caught:
+        kernels._map_instances(half, range(4))
+    assert caught.value.report == report and caught.value.trace == [1]
+    assert str(caught.value) != f"in {parent}"
+
+
+@needs_fork
+def test_when_the_parents_half_raises_the_child_is_killed_and_reaped():
+    def half(x):
+        if x == 0:
+            raise KeyError("the parent's half")
+        time.sleep(120)
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="parent's half"):
+        kernels._map_instances(half, range(2))
+    assert time.monotonic() - start < 60
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_child_killed_by_a_signal_gives_an_error_naming_its_status():
+    parent = os.getpid()
+
+    def half(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(RuntimeError, match=f"killed by signal {int(signal.SIGKILL)}"):
+        kernels._map_instances(half, range(2))
+
+
+@needs_fork
+def test_a_map_inside_a_child_runs_serially(monkeypatch):
+    # as if on more CPUs, so that the child is not left with one CPU alone
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 3)
+    parent = os.getpid()
+
+    def half(x):
+        pid = os.getpid()
+        return pid, kernels._map_instances(lambda y: os.getpid(), range(3)) if pid != parent else []
+
+    (_, none), (child, inner) = kernels._map_instances(half, range(2))
+    assert child != parent and none == [] and inner == [child] * 3
+
+
+@needs_fork
+def test_the_childs_cpus_exclude_its_parents(monkeypatch):
+    seen, getcpu = [], kernels._getcpu
+    monkeypatch.setattr(kernels, "_getcpu", lambda: seen.append(getcpu()) or seen[-1])
+    allowed = os.sched_getaffinity(0)
+    ours, theirs = kernels._map_instances(lambda x: os.sched_getaffinity(0), range(2))
+    assert ours == allowed
+    assert seen and theirs == allowed - {seen[0]}
+
+
+def test_a_map_whose_fork_fails_runs_every_item_here(monkeypatch):
+    def no_process():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+    assert kernels._map_instances(lambda x: (x, os.getpid()), range(3)) == [
+        (x, os.getpid()) for x in range(3)]
+    assert (len(os.listdir("/proc/self/fd")) if fds else 0) == fds  # the pipe is closed
+
+
+def test_a_map_after_a_split_solve_gives_the_serial_bits(monkeypatch):
+    # the split worker is alive when the child forks: the child's own solves start a worker
+    # of their own, and every result is the serial run's
+    _split_now(monkeypatch)
+    _solve_47()
+    assert kernels._worker.is_alive()
+
+    def solve(n):
+        return _digest(solve_semilinear(*_state_problem(n))[0].values)
+
+    sizes = [9, 11, 9, 11]
+    assert kernels._map_instances(solve, sizes) == [solve(n) for n in sizes]
+
+
 def test_the_transform_cuts_keep_the_bits_of_the_whole_products(monkeypatch):
     # a split sine_solve against the whole one, 3-D grids from SPLIT_MIN nodes up: both run
     # the same jobs, and the leading axis is cut on DGEMM tiles
@@ -529,6 +645,7 @@ for n in (38, 47, 63):  # _state_problem(n), without importing the tests' depend
     u = solve_semilinear(grid, Nonlinearity.power(3.0), m)[0].values
     print(n, hashlib.sha256(u.tobytes()).hexdigest())
 run_experiment("exp_dirac_collapse", {"levels": [31, 47]}, sys.argv[2], seed=0)
+run_experiment("exp_truncation_suite", {}, sys.argv[2], seed=0)  # forked on two CPUs
 for path in sorted(Path(sys.argv[2]).rglob("*.*")):
     print(path.relative_to(sys.argv[2]), hashlib.sha256(path.read_bytes()).hexdigest())
 if kernels._worker and kernels._getcpu:
@@ -540,23 +657,47 @@ print("threads started:", threading.active_count() - threads)
 """
 
 
-@pytest.fixture(scope="module")
-def blas_settings(tmp_path_factory):
-    """Per BLAS setting, in a fresh interpreter: digests of 3-D n = 38, 47 and 63 solves (all
-    cut) and of exp_dirac_collapse's files at levels (31, 47), then the caller's CPU and the
-    worker's CPUs, and the threads started."""
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("needs CPU affinity")
+def _fresh_env(**blas):
+    """This interpreter's environment and import path, with no BLAS or OpenMP thread setting
+    but ``blas``."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    return {**env, **blas}
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """Per BLAS setting, in a fresh interpreter: the lines ``_SETTINGS`` prints."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs CPU affinity")
     out, runs = tmp_path_factory.mktemp("settings"), {}
     for setting, blas in (("unset", {}), ("1", {"OPENBLAS_NUM_THREADS": "1"}),
                           ("2", {"OPENBLAS_NUM_THREADS": "2"}), ("one CPU", {})):
         runs[setting] = subprocess.run(
-            [sys.executable, "-c", _SETTINGS, setting, str(out / setting)], env={**env, **blas},
+            [sys.executable, "-c", _SETTINGS, setting, str(out / setting)], env=_fresh_env(**blas),
             capture_output=True, text=True, timeout=300, check=True).stdout.splitlines()
     return runs
+
+
+_TRUNCATION = "exp_truncation_suite/"
+
+
+@pytest.fixture(scope="module")
+def blas_settings(fresh_runs):
+    """Per BLAS setting: digests of 3-D n = 38, 47 and 63 solves (all cut) and of
+    exp_dirac_collapse's files at levels (31, 47), then the caller's CPU and the worker's
+    CPUs, and the threads started."""
+    return {setting: [line for line in lines if not line.startswith(_TRUNCATION)]
+            for setting, lines in fresh_runs.items()}
+
+
+def test_one_or_two_processes_write_the_truncation_suites_bytes(fresh_runs):
+    # one CPU runs every instance here; two CPUs run half of them in a forked child
+    runs = {setting: [line for line in lines if line.startswith(_TRUNCATION)]
+            for setting, lines in fresh_runs.items()}
+    assert len(runs["unset"]) == 3  # the two tables and summary.json
+    assert runs == {setting: runs["unset"] for setting in runs}
 
 
 def test_one_cpu_runs_every_pass_serially_to_the_same_bits(blas_settings):
@@ -576,3 +717,22 @@ def test_no_blas_thread_setting_or_cpu_count_changes_an_output_byte(blas_setting
     runs = {setting: lines[:-2] for setting, lines in blas_settings.items()}
     assert len(runs["unset"]) == 6  # the three solves, the two tables and summary.json
     assert runs == {setting: runs["unset"] for setting in runs}
+
+
+_IMPORT = """
+import os
+import measopt
+tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(tasks))
+"""
+
+
+@pytest.mark.parametrize("blas", [None, "2"])
+def test_importing_measopt_starts_no_blas_thread_and_keeps_the_environment(blas):
+    # numpy's OpenBLAS starts on one thread; the caller's setting is back after the import
+    env = _fresh_env(**({} if blas is None else {"OPENBLAS_NUM_THREADS": blas}))
+    setting, tasks = subprocess.run([sys.executable, "-c", _IMPORT], env=env, capture_output=True,
+                                    text=True, timeout=120, check=True).stdout.split()
+    assert setting == str(blas)
+    if sys.platform.startswith("linux"):
+        assert tasks == "1"  # no split solve yet, so no worker either
