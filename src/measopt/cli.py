@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
 
 
+@functools.cache  # built on first use; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="measopt",

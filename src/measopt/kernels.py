@@ -50,13 +50,13 @@ creator may use but the one the creator is on, and bound again whenever a
 hand-off finds its caller on one of them: left to itself, the scheduler wakes
 the worker on its caller's CPU, and the halves take turns.  The caller is
 never bound.  A state solve of one Newton step and two CG iterations hands the
-worker 35 jobs.  Importing measopt starts numpy's OpenBLAS on one thread, when
-numpy is not yet loaded, and sets it to one thread for good, for the whole
-process and its user threads: a threaded BLAS cuts each product its own way,
-so its sums would depend on the thread count (Demmel and Nguyen, ARITH 21,
-2013), and a restore would race with a solve on another thread.  A BLAS with
-no such setter (MKL, Accelerate) keeps its own threads, and every pass runs
-whole or in turn.
+worker 36 jobs, one of them the clip of its start.  Importing measopt starts
+numpy's OpenBLAS on one thread, when numpy is not yet loaded, and sets it to
+one thread for good, for the whole process and its user threads: a threaded
+BLAS cuts each product its own way, so its sums would depend on the thread
+count (Demmel and Nguyen, ARITH 21, 2013), and a restore would race with a
+solve on another thread.  A BLAS with no such setter (MKL, Accelerate) keeps
+its own threads, and every pass runs whole or in turn.
 
 Independent 2-D instances are bound by the interpreter, so threads cannot share
 them out; ``_map_instances`` runs them on two processes instead: the truncation

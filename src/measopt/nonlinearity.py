@@ -5,7 +5,9 @@ lambda*t with lambda >= 0, monotone piecewise-linear tables, and
 user-supplied callables.  Every kind exposes pointwise evaluation, a
 one-sided (right) derivative, which is all that Newton's residual line
 search reads, a primitive with G(0) = 0 (the discrete energy, which
-tests evaluate), and a derivative bound over an interval.
+tests evaluate), and a derivative bound over an interval.  All kinds but
+callables also invert g at the extremes of a datum, without evaluating g,
+for the absorption bound on its states.
 """
 from __future__ import annotations
 
@@ -41,6 +43,23 @@ class Nonlinearity:
             raise ValueError("invalid bracket: derivative bound unavailable on the bracket")
         return lam
 
+    def absorption_bound(self, rhs: np.ndarray) -> tuple:
+        """[lo, hi] holding every state u with -Lap_h u + g(u) = rhs.
+
+        At a node where u is largest, -Lap_h u >= 0, so g(max u) <= max rhs,
+        and likewise g(min u) >= min rhs (the discrete absorption estimate of
+        Brezis and Strauss, J. Math. Soc. Japan 25, 1973).  Hence
+        hi = sup{t >= 0 : g(t) <= max(max rhs, 0)} and
+        lo = inf{t <= 0 : g(t) >= min(min rhs, 0)}, found without evaluating
+        g.  An end is infinite where g never passes its level (g = 0, a
+        bounded table), and both are for a callable g, whose inverse has no
+        closed form.
+        """
+        bound = self._fns["bound"]
+        if bound is None:
+            return -math.inf, math.inf
+        return bound(min(float(rhs.min()), 0.0), max(float(rhs.max()), 0.0))
+
     # ------------------------------------------------------------------
     @classmethod
     def power(cls, q: float) -> "Nonlinearity":
@@ -62,7 +81,10 @@ class Nonlinearity:
         def max_dg(lo, hi):
             return q * max(abs(lo), abs(hi)) ** (q - 1.0) if q > 1.0 else q
 
-        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg},
+        def bound(low, high):
+            return -(-low) ** (1.0 / q), high ** (1.0 / q)
+
+        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg, "bound": bound},
                    label=f"power(q={q:g})")
 
     @classmethod
@@ -75,7 +97,8 @@ class Nonlinearity:
         return cls({"g": lambda t: lam * t,
                     "dg": lambda t: np.full_like(t, lam),
                     "G": lambda t: 0.5 * lam * t * t,
-                    "max_dg": lambda lo, hi: lam},
+                    "max_dg": lambda lo, hi: lam,
+                    "bound": (lambda low, high: (low / lam, high / lam)) if lam else None},
                    label=f"linear(lam={lam:g})")
 
     @classmethod
@@ -129,8 +152,13 @@ class Nonlinearity:
             (a, b), _ = segment(np.array([lo, hi]))
             return float(slopes[a:b + 1].max())
 
+        def bound(low, high):  # lo is hi of the reflected table -g(-t)
+            return (-_table_upper(-ts[::-1], -gs[::-1], slopes[::-1], -low),
+                    _table_upper(ts, gs, slopes, high))
+
         return cls({"g": g, "dg": lambda t: slopes[segment(t)[0]],
-                    "G": lambda t: primitive_from_start(t) - G0, "max_dg": max_dg},
+                    "G": lambda t: primitive_from_start(t) - G0, "max_dg": max_dg,
+                    "bound": bound},
                    label=f"table({ts.size} pts)")
 
     @classmethod
@@ -172,8 +200,25 @@ class Nonlinearity:
             samples = np.linspace(lo, hi, 4097)
             return float(np.max(dg(samples)))
 
-        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg},
+        return cls({"g": g, "dg": dg, "G": G, "max_dg": max_dg, "bound": None},
                    label=label or "callable")
+
+
+def _table_upper(ts, gs, slopes, y: float) -> float:
+    """sup{t >= 0 : g(t) <= y} for the table through (ts, gs) and a level y >= 0.
+
+    The segment from ts[k] with gs[k] <= y < gs[k + 1] rises through y once; a
+    flat segment at level y ends at ts[k].  Past the last point g extends
+    linearly, and stays at or below y for good where it is flat.  In Python
+    floats, so that a tiny slope gives inf without a warning.
+    """
+    k = int(np.searchsorted(gs, y, side="right")) - 1
+    if k < 0:  # y < gs[0] <= g(0): no t >= 0 qualifies
+        return 0.0
+    slope = float(slopes[min(k, slopes.size - 1)])
+    if slope == 0.0:  # flat from ts[k] on, or a slope that underflowed: no bound
+        return math.inf
+    return max(float(ts[k]) + (y - float(gs[k])) / slope, 0.0)
 
 
 _CONFIG_KEYS = {"power": {"q"}, "linear": {"lam"}, "zero": set(), "table": {"t", "g"}}

@@ -8,9 +8,10 @@ that tests compare against lives in ``tests/_oracle.py``.  The semilinear
 problem uses damped Newton steps, and one rule accepts a trial point:
 its residual is strictly below the iterate's; otherwise the step
 halves.  Each trial point is evaluated once, for its residual.  Newton
-starts at the Poisson solution, one exact sine-transform solve.  A state
-solve allocates one CG workspace (``kernels.cg_shifted``) and passes it
-to every shifted solve; the Newton loop writes the stencil,
+starts at the Poisson solution, one exact sine-transform solve, clipped
+into the absorption bound on the state.  A state solve allocates one CG
+workspace (``kernels.cg_shifted``) and passes it to every shifted
+solve; the Newton loop writes the stencil,
 its trial points and their residuals into the same slots between
 solves, so a 3-D solve stops allocating full-grid arrays per step.
 A monotone sub- and supersolution iteration is available as an
@@ -138,18 +139,22 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
 
     The initial iterate is the linear solution u0 of -Lap_h u0 = m, for
     signed and nonnegative data alike: one exact sine-transform solve, bit
-    for bit one CG iteration at shift 0.  It needs no clipping: -Lap_h is an
-    M-matrix, so |u0| <= v node by node where -Lap_h v = |m|, and the
-    semilinear solution obeys the same bound.  ``_evaluate`` gives the
+    for bit one CG iteration at shift 0, clipped into the absorption bound
+    ``g.absorption_bound``.  The solution lies in [lo, hi], where
+    hi = sup{t >= 0 : g(t) <= max(max rhs, 0)} and lo is its mirror image;
+    under strong absorption u0 overshoots it near an atom by orders of
+    magnitude, and g'(u0) there stalls CG.  Where both ends are infinite
+    (g = 0, a callable g) the clip is skipped, and where it moves no node
+    the solve is unchanged bit for bit.  ``_evaluate`` gives the
     residual and its norm at each trial point, evaluating g once there, and
     the loop carries them from the accepted trial.  One rule accepts a
     trial u - tau e: its weighted-L1 residual is strictly below the
     iterate's; otherwise tau halves, down to 1e-12.  For differentiable g
     the Newton step gives R(u - tau e) = (1 - tau) R(u) + o(tau) for the
     residual R, so some halving lowers its norm.  Newton stops at the first
-    iterate whose residual passes tol or the rounding floor of rhs and u0
-    (sum |g(u)| is at most sum |rhs| by absorption), so tol is the residual
-    the state reaches.  An iterate at which g is not finite ends the solve
+    iterate whose residual passes tol or the rounding floor of rhs and the
+    start (sum |g(u)| is at most sum |rhs| by absorption), so tol is the
+    residual the state reaches.  An iterate at which g is not finite ends the solve
     with a ConvergenceError that carries it, as does a step that no trial
     can accept.
 
@@ -165,6 +170,9 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
     cand, cand_res, lap = work[:3]
     u = kernels.sine_solve(rhs, kernels.inverse_eigenvalues(grid.dim, grid.n, 0.0),
                            grid.dim, grid.n, np.empty_like(rhs), cand, lap)
+    lo, hi = g.absorption_bound(rhs)
+    if lo > -math.inf or hi < math.inf:
+        plan.run(_clip, u, lo, hi)
     accept = max(tol, kernels.rounding_floor(rhs, u, rhs, grid.dim, grid.n, out=lap))
 
     res_vec = np.empty_like(rhs)
@@ -208,6 +216,10 @@ def solve_semilinear(grid: Grid, g: Nonlinearity, m: DiscreteMeasure,
             f"no convergence: newton residual {residual:.3e} > {accept:.1e} "
             f"after {newton_its} iterations", report=report, field=out)
     return out, report
+
+
+def _clip(u, lo, hi):
+    u.clip(lo, hi, out=u)
 
 
 def _trial(u, e, tau, cand):  # cand = u - tau e

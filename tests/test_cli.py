@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -205,9 +207,10 @@ def test_solve_crosses_a_steep_table_kink(tmp_path, capsys):
 
 
 def test_solve_cg_stall_exits_one(tmp_path, capsys):
-    # the peaked shift of test_semilinear_converges_with_sharply_peaked_shift
+    # test_semilinear_converges_with_sharply_peaked_shift with 2,000 times its mass: CG
+    # stalls at a weighted-L1 residual of 1.5e-11 against its 1e-12
     doc = dict(PROBLEM, grid={"dim": 2, "n": 31}, g={"kind": "power", "q": 8},
-               measure={"atoms": [{"x": [0.5, 0.5], "w": 50.0}]})
+               measure={"atoms": [{"x": [0.5, 0.5], "w": 1e5}]})
     path = _write_problem(tmp_path, doc)
     assert run_cli(["solve", str(path), "--out", str(tmp_path / "run")]) == 1
     assert "solver failure" in capsys.readouterr().err
@@ -665,3 +668,65 @@ def test_console_script_list():
     proc = subprocess.run(["measopt", "list"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "exp_nonconvexity" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    measopt.cli._build_parser.cache_clear()
+    yield
+    measopt.cli._build_parser.cache_clear()
+
+
+def test_two_calls_build_one_parser(fresh_parser, monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):  # the subcommands' parsers count too
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(["list"]) == 0
+    first = list(built)
+    assert run_cli(["list"]) == 0
+    assert built == first and first.count("measopt") == 1
+    assert capsys.readouterr().out.split() == 2 * measopt.list_experiments()
+
+
+def test_a_usage_error_leaves_the_parser_usable(fresh_parser, capsys):
+    assert run_cli(["solve"]) == 2
+    assert "required: problem" in capsys.readouterr().err
+    assert run_cli(["list"]) == 0
+    assert capsys.readouterr().out.split() == measopt.list_experiments()
+
+
+def test_an_option_of_one_call_is_not_the_default_of_the_next(fresh_parser, monkeypatch,
+                                                             tmp_path, capsys):
+    seeds = []
+
+    def recording(name, parameters, output_dir, seed):
+        seeds.append(seed)
+        return types.SimpleNamespace(assertions=[], summary_path=None, passed=True)
+
+    monkeypatch.setattr(measopt.cli, "run_experiment", recording)
+    for extra in (["--seed", "5"], []):
+        assert run_cli(["experiment", "exp_nonconvexity", *extra, "--out", str(tmp_path)]) == 0
+    assert seeds == [5, 0]
+
+
+def test_solve_then_optimize_in_one_process_write_what_two_processes_write(fresh_parser,
+                                                                           tmp_path, capsys):
+    path = _write_problem(tmp_path, dict(PROBLEM, optimizer={"max_iter": 25}))
+    for command in ("solve", "optimize"):
+        assert run_cli([command, str(path), "--out", str(tmp_path / "one" / command)]) == 0
+        proc = _run_module(command, str(path), "--out", str(tmp_path / "two" / command),
+                           cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    files = {p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*.*")}
+    assert files == {p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*.*")}
+    assert {"solve_report.json", "optimize_report.json", "history.csv"} < {p.name for p in files}
+    for rel in files:
+        assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()

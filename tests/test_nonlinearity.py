@@ -71,6 +71,39 @@ def test_table_interpolation_and_extension():
     assert g.max_derivative(0.1, 0.9) == 0.5
 
 
+def test_absorption_bound_inverts_g_at_the_datas_extremes():
+    rhs = np.array([-8.0, 1.0, 27.0])
+    assert Nonlinearity.power(3.0).absorption_bound(rhs) == (-2.0, 3.0)
+    assert Nonlinearity.linear(2.0).absorption_bound(rhs) == (-4.0, 13.5)
+    # a level of 0 where the data keep one sign
+    assert Nonlinearity.power(2.0).absorption_bound(np.array([4.0, 9.0])) == (0.0, 3.0)
+    assert Nonlinearity.linear(2.0).absorption_bound(np.array([-4.0])) == (-2.0, 0.0)
+    # no bound for g = 0 and for callables, which never evaluate g for it
+    calls = []
+    cubic = Nonlinearity.from_callable(lambda t: calls.append(1) or t ** 3)
+    calls.clear()
+    for g in (Nonlinearity.zero(), cubic):
+        assert g.absorption_bound(rhs) == (-math.inf, math.inf)
+    assert not calls
+
+
+def test_absorption_bound_of_a_table_ends_flat_segments_at_their_upper_end():
+    # flat at 0 on [0, 1], rising to 2 at t = 2, flat at 2 on [2, 3], then slope 1;
+    # flat at -1 left of -1
+    g = Nonlinearity.table([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+                           [-1.0, -1.0, 0.0, 0.0, 2.0, 2.0, 3.0])
+    for (low, high), (lo, hi) in {(0.0, 0.0): (0.0, 1.0), (-0.5, 1.0): (-0.5, 1.5),
+                                  (0.0, 2.0): (0.0, 3.0), (0.0, 5.0): (0.0, 6.0),
+                                  (-1.0, 0.5): (-math.inf, 1.25)}.items():
+        assert g.absorption_bound(np.array([low, high])) == (lo, hi)
+    # where g stays below the level for good, the bound is infinite
+    bounded = Nonlinearity.table([-1.0, 0.0, 1.0, 2.0], [-1.0, 0.0, 1.0, 1.0])
+    assert bounded.absorption_bound(np.array([-3.0, 1.0])) == (-3.0, math.inf)
+    # a table that starts at 0 with a rounding-level g(0) > 0 bounds t >= 0 at 0
+    assert Nonlinearity.table([0.0, 1.0], [1e-13, 1.0]).absorption_bound(
+        np.array([0.0]))[1] == 0.0
+
+
 def _integrate_piecewise(fn, t, kinks):
     # quad each smooth piece so corners cost no accuracy
     lo, hi = min(0.0, t), max(0.0, t)
